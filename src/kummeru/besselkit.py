@@ -89,7 +89,7 @@ def _k_quadrature(nu: float, w, nodes: int | None = None):
     return h * total
 
 
-def bessel_k(nu: float, w, nodes: int | None = None):
+def bessel_k(nu: float, w):
     """K_nu(w) for Re w > 0, |nu| <= 3.
 
     Order symmetry K_{-nu} = K_nu is applied first.  Near-integer orders are
@@ -102,9 +102,9 @@ def bessel_k(nu: float, w, nodes: int | None = None):
     if w.real <= 0:
         raise DomainError("K_nu requires Re w > 0")
     nu = abs(nu)
-    if abs(w) <= _CONNECTION_RADIUS and nodes is None:
+    if abs(w) <= _CONNECTION_RADIUS:
         if abs(nu - round(nu)) < 1e-6:
             raise DomainError("order too close to an integer for the "
                               "connection-formula branch")
         return _k_connection(nu, w)
-    return _k_quadrature(nu, w, nodes)
+    return _k_quadrature(nu, w)

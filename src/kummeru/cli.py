@@ -21,13 +21,14 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
 
 from .numcore import ConvergenceError, DomainError
-from . import gammakit, powerseries, convergent, slater
+from . import gammakit, powerseries, convergent
+from . import _in_convergent_domain, kummer_u
+from . import select_method  # noqa: F401  (callers use cli.select_method)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,36 +92,8 @@ class ReportRow:
 
 
 def in_region(a: float, z: float, b: float) -> bool:
-    """Advertised validity region of the convergent method."""
-    return a > 0 and 0 < z and abs(z * a) <= 10.0 and 0.05 <= b <= 0.95
-
-
-def select_method(a: float, b: float, z: complex) -> str:
-    """Deterministic auto-selection; ties broken power > convergent > slater.
-
-    The power-series bound admits |z| up to sqrt(2) so that the reference
-    complex points (like 1+i) stay on their intended route."""
-    if z == 0:
-        raise DomainError("z must be nonzero")
-    if abs(a) <= 2.5 and abs(z) <= 1.5:
-        return "power"
-    if 0.05 <= b <= 0.95 and abs(z * a) <= 10.0 and a > 0:
-        return "convergent"
-    if a >= 30.0 and z.imag == 0.0 and z.real > 0:
-        return "slater"
-    raise DomainError("no method covers this parameter point")
-
-
-def _max_terms(args) -> int:
-    if args.terms is not None:
-        return args.terms
-    env = os.environ.get("KUMMER_MAX_TERMS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError("KUMMER_MAX_TERMS must be an integer")
-    return 200
+    """Advertised validity region of the convergent method, on real z > 0."""
+    return 0 < z and _in_convergent_domain(a, b, z)
 
 
 def _parse_complex(text: str) -> complex:
@@ -133,31 +106,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_eval(args) -> int:
-    z = _parse_complex(args.z)
-    a = args.a
-    b = args.b
-    method = args.method
-    if method == "auto":
-        method = select_method(a, b, z)
-    if method == "power":
-        inp = powerseries.KummerInput(a=a, b=b, z=z, max_terms=_max_terms(args),
-                                      tol=args.tol)
-        out = powerseries.eval_u(inp)
-    elif method == "convergent":
-        out = convergent.u_bessel_convergent(a, b, z,
-                                             n=args.terms if args.terms else 20)
-    elif method == "slater":
-        if z.imag != 0.0:
-            raise DomainError("slater method requires real z")
-        val, est = slater.slater_u(a, b, z.real,
-                                   K=args.terms if args.terms else 4)
-        from .numcore import EvalOutcome
-        out = EvalOutcome(u=complex(val), u_prime=None,
-                          terms_used=args.terms if args.terms else 4,
-                          est_abs_error=est, method="slater")
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown method {method}")
-
+    out = kummer_u(args.a, args.b, _parse_complex(args.z), method=args.method,
+                   terms=args.terms, tol=args.tol)
     if args.json:
         rec = {
             "u_re": out.u.real,

@@ -23,9 +23,9 @@ to 1/2, the forward steps become
     at_{k+1} = ( k at_{k-1} - b at_k + 2(2k+1) bt_k ) / (k + b),
     bt_{k+1} = ( k bt_{k-1} - b bt_k + 2 a at_{k+1} ) / (k + 2 - b).
 
-The forward direction accumulates roundoff along the dominant solution, so
-the recurrence is run in compensated (double-double) arithmetic and, for
-a <= 2.5, the initial values are formed through the G function of gammakit
+The recurrence runs in plain double arithmetic: the roundoff it adds along
+the dominant solution stays below the error already carried by the initial
+values.  For a <= 2.5 those are formed through the G function of gammakit
 to avoid their small-b and large-a cancellations.  The achievable relative
 accuracy of U still degrades like e^{4 sqrt(az)} * eps from the rounding of
 the initial values themselves; the M combination is insensitive to this
@@ -43,48 +43,6 @@ from .gammakit import g_resolve, gamma_fn, recip_gamma
 from .besselkit import bessel_i, bessel_k
 
 _B_EXCLUSION = 1e-3  # radius of the rejected neighborhoods of b in {0,1,2}
-
-
-# ---------------------------------------------------------------------------
-# compensated (double-double) helpers for the real recurrence
-# ---------------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-_SPLIT = 134217729.0  # 2**27 + 1
-
-
-def _two_prod(a, b):
-    p = a * b
-    aa = a * _SPLIT
-    ah = aa - (aa - a)
-    al = a - ah
-    bb = b * _SPLIT
-    bh = bb - (bb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    sh, sl = _two_sum(xh, yh)
-    sl += xl + yl
-    return _two_sum(sh, sl)
-
-
-def _dd_mul_d(xh, xl, d):
-    ph, pl = _two_prod(xh, d)
-    pl += xl * d
-    return _two_sum(ph, pl)
-
-
-def _dd_div_d(xh, xl, d):
-    qh = xh / d
-    ph, pl = _two_prod(qh, d)
-    return _two_sum(qh, ((xh - ph) - pl + xl) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +109,6 @@ class ABCoefficients:
         f = _fact2(k)
         return self.alpha_scaled[k] / f, self.beta_scaled[k] / f
 
-    def growth_diagnostic(self):
-        """(k! |beta_k|)^{1/k} for k >= 1; tends to 1/2 (diagnostic only)."""
-        out = []
-        for k in range(1, self.n):
-            v = abs(self.beta_scaled[k]) / 2.0 ** k
-            out.append(v ** (1.0 / k) if v > 0 else 0.0)
-        return out
-
 
 def _fact2(k: int) -> float:
     # k! 2^k, exact in double for k <= 22
@@ -175,26 +125,16 @@ def forward_coeffs(a: float, b: float, n: int) -> ABCoefficients:
     a = float(a)
     b = float(b)
     a0, a1, b0, b1 = init_alpha_beta(a, b)
-    alt = [(a0, 0.0), (2.0 * a1, 0.0)]
-    bet = [(b0, 0.0), (2.0 * b1, 0.0)]
+    alt = [a0, 2.0 * a1]
+    bet = [b0, 2.0 * b1]
     for k in range(1, n - 1):
-        sh, sl = _dd_mul_d(*alt[k - 1], float(k))
-        th, tl = _dd_mul_d(*alt[k], -b)
-        sh, sl = _dd_add(sh, sl, th, tl)
-        th, tl = _dd_mul_d(*bet[k], 2.0 * (2 * k + 1))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        nxt_a = _dd_div_d(sh, sl, k + b)
-        sh, sl = _dd_mul_d(*bet[k - 1], float(k))
-        th, tl = _dd_mul_d(*bet[k], -b)
-        sh, sl = _dd_add(sh, sl, th, tl)
-        th, tl = _dd_mul_d(*nxt_a, 2.0 * a)
-        sh, sl = _dd_add(sh, sl, th, tl)
-        nxt_b = _dd_div_d(sh, sl, k + 2.0 - b)
+        nxt_a = (k * alt[k - 1] - b * alt[k] + 2.0 * (2 * k + 1) * bet[k]) \
+            / (k + b)
+        nxt_b = (k * bet[k - 1] - b * bet[k] + 2.0 * a * nxt_a) / (k + 2.0 - b)
         alt.append(nxt_a)
         bet.append(nxt_b)
-    return ABCoefficients(a=a, b=b, n=n,
-                          alpha_scaled=tuple(x[0] for x in alt),
-                          beta_scaled=tuple(x[0] for x in bet))
+    return ABCoefficients(a=a, b=b, n=n, alpha_scaled=tuple(alt),
+                          beta_scaled=tuple(bet))
 
 
 @dataclass(frozen=True)

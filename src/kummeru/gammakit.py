@@ -68,18 +68,6 @@ _SERIES_RADIUS = 1.25
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class ReciprocalGammaTable:
-    """The c_k table with provenance metadata."""
-
-    c: tuple = RECIP_GAMMA_COEFFS
-    source: str = "paper_table"
-
-    @property
-    def gamma_euler(self) -> float:
-        return self.c[1]
-
-
 def _series(w):
     s = 0j
     for c in reversed(RECIP_GAMMA_COEFFS):
@@ -119,13 +107,14 @@ def recip_gamma(w):
 
 
 def gamma_fn(w):
-    """Gamma(w) = 1/recip_gamma(w); domain error at the poles."""
+    """Gamma(w) = 1/recip_gamma(w); domain error at the poles and where
+    1/Gamma underflows to 0, i.e. Gamma overflows the double range."""
     w = complex(w)
     if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
         raise DomainError(f"gamma pole at {w.real}")
     r = recip_gamma(w)
     if r == 0:
-        raise DomainError(f"gamma pole at {w}")
+        raise DomainError(f"Gamma overflows the double range at {w}")
     return 1.0 / r
 
 

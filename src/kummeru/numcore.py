@@ -1,10 +1,10 @@
 """Foundation numeric types and stable elementary helpers.
 
 Everything downstream works on plain Python complex scalars. This module
-adds the few things the standard library does not give us directly: guarded
-principal-branch wrappers, a complex expm1 that keeps full relative accuracy
-near 0, exact real-coefficient polynomial arithmetic, and the shared result
-record for function evaluations.
+adds the few things the standard library does not give us directly: a
+complex expm1 that keeps full relative accuracy near 0, exact
+real-coefficient polynomial arithmetic, and the shared result record for
+function evaluations.
 
 All operations are pure; nothing here holds mutable state.
 """
@@ -28,44 +28,8 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# complex scalar helpers (principal branches throughout)
+# complex scalar helpers
 # ---------------------------------------------------------------------------
-
-def cdiv(x, y):
-    """x / y with a domain error on division by exact zero."""
-    y = complex(y)
-    if y == 0:
-        raise DomainError("division by zero")
-    return complex(x) / y
-
-
-def csqrt(w):
-    """Principal square root: the root with nonnegative real part."""
-    return cmath.sqrt(complex(w))
-
-
-def clog(w):
-    """Principal logarithm, Arg in (-pi, pi]; log(0) is a domain error."""
-    w = complex(w)
-    if w == 0:
-        raise DomainError("log of zero")
-    return cmath.log(w)
-
-
-def cexp(w):
-    return cmath.exp(complex(w))
-
-
-def cpow(w, p):
-    """w**p as exp(p*log w) on the principal branch; 0**p only for Re p > 0."""
-    w = complex(w)
-    p = complex(p)
-    if w == 0:
-        if p.real > 0:
-            return 0j
-        raise DomainError("0**p with Re p <= 0")
-    return cmath.exp(p * cmath.log(w))
-
 
 def cexpm1(w):
     """exp(w) - 1 with full relative accuracy for small |w|.
@@ -165,26 +129,6 @@ def _trim(coeffs: tuple) -> tuple:
     while n > 1 and coeffs[n - 1] == 0.0:
         n -= 1
     return coeffs[:n]
-
-
-def poly_calc(p: RealPolynomial, op: str, *args) -> RealPolynomial:
-    """Dispatch wrapper over the RealPolynomial methods.
-
-    op is one of derivative | antiderivative | divide_by_z | scale | add | mul.
-    """
-    if op == "derivative":
-        return p.derivative()
-    if op == "antiderivative":
-        return p.antiderivative()
-    if op == "divide_by_z":
-        return p.divide_by_var()
-    if op == "scale":
-        return p.scaled(args[0])
-    if op == "add":
-        return p + args[0]
-    if op == "mul":
-        return p * args[0]
-    raise DomainError(f"unknown polynomial op {op!r}")
 
 
 # ---------------------------------------------------------------------------

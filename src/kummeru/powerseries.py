@@ -203,7 +203,8 @@ def eval_u(inp: KummerInput) -> EvalOutcome:
     integer is reached by evaluating at the fractional base value and
     raising with the b+1 recurrence (stable for the intended domain).
     a may exceed [-1/2, 1/2] by up to two units (the w0 machinery shifts
-    its G value correspondingly).
+    its G value correspondingly).  For real a, b and real z > 0 both
+    results have an exactly zero imaginary part.
     """
     base_b, raises = _route_b(inp.b)
     if raises and abs(base_b) < 1e-3:
@@ -216,18 +217,12 @@ def eval_u(inp: KummerInput) -> EvalOutcome:
         flags.add("near_integer_b")
     if raises:
         u, ud = raise_b(inp.a, base_b, inp.z, u, ud, raises)[-1]
+    if (inp.a.imag == 0.0 and inp.b.imag == 0.0 and inp.z.imag == 0.0
+            and inp.z.real > 0.0):
+        # U is real there; drop the rounding residue of complex arithmetic
+        u, ud = complex(u.real), complex(ud.real)
     return EvalOutcome(u=u, u_prime=ud, terms_used=terms, est_abs_error=est,
                        method="power", flags=flags)
-
-
-def u_small_z(inp: KummerInput) -> EvalOutcome:
-    """Alias of eval_u focused on the function value."""
-    return eval_u(inp)
-
-
-def u_prime_small_z(inp: KummerInput) -> EvalOutcome:
-    """Alias of eval_u focused on the derivative (shares the same loop)."""
-    return eval_u(inp)
 
 
 def raise_b(a, b, z, u, uprime, steps: int):

@@ -101,22 +101,15 @@ def _sums(cs: SlaterCoeffSet, z: float, u: float, K: int):
     return sa, sb, tail
 
 
-def _coeffs_for(b: float, K: int, coeffs: SlaterCoeffSet | None) -> SlaterCoeffSet:
-    # one extra pair so the first omitted pair is available for the estimate
-    if coeffs is not None and coeffs.b == b and coeffs.K >= K + 1:
-        return coeffs
-    return slater_coeffs(b, K + 1)
-
-
-def slater_u(a: float, b: float, zsq: float, K: int = 4,
-             coeffs: SlaterCoeffSet | None = None):
+def slater_u(a: float, b: float, zsq: float, K: int = 4):
     """U(a,b,zsq) from the K-Bessel expansion truncated at K pairs.
 
     Returns (value, est_abs_error)."""
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
-    coeffs = _coeffs_for(pt.b, K, coeffs)
+    # one extra pair so the first omitted pair is available for the estimate
+    coeffs = slater_coeffs(pt.b, K + 1)
     sa, sb, tail = _sums(coeffs, z, u, K)
     pref = 2.0 ** b * u ** (1.0 - b) / gamma_fn(1.0 + a - b).real
     kb1 = bessel_k(b - 1.0, u * z).real
@@ -127,13 +120,12 @@ def slater_u(a: float, b: float, zsq: float, K: int = 4,
     return scaled * unscale, est
 
 
-def slater_m(a: float, b: float, zsq: float, K: int = 4,
-             coeffs: SlaterCoeffSet | None = None):
+def slater_m(a: float, b: float, zsq: float, K: int = 4):
     """M(a;b;zsq) from the companion I-Bessel expansion."""
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
-    coeffs = _coeffs_for(pt.b, K, coeffs)
+    coeffs = slater_coeffs(pt.b, K + 1)
     sa, sb, _ = _sums(coeffs, z, u, K)
     pref = gamma_fn(b).real * u ** (1.0 - b) * 2.0 ** (b - 1.0)
     ib1 = bessel_i(b - 1.0, u * z).real

@@ -61,6 +61,12 @@ class TestEval:
         capsys.readouterr()
         assert rc == EXIT_DOMAIN
 
+    def test_gamma_overflow_not_reported_as_pole(self, capsys):
+        rc = main(["eval", "--a", "200", "--b", "0.3", "--z", "0.25"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN
+        assert "overflow" in err and "pole" not in err
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["eval", "--b", "0.5", "--z", "1"])
         capsys.readouterr()

@@ -91,12 +91,6 @@ class TestForwardCoeffs:
             assert abs(r1) <= 1e-12 * max(abs(al[k - 1]), 1e-3)
             assert abs(r2) <= 1e-12 * max(abs(be[k - 1]), 1e-3)
 
-    def test_growth_diagnostic_shape(self):
-        coeffs = forward_coeffs(2.0, 0.5, 30)
-        diag = coeffs.growth_diagnostic()
-        assert len(diag) == 29
-        assert all(v >= 0 for v in diag)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             forward_coeffs(2.0, 0.5, 1)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from kummeru.gammakit import (EULER_GAMMA, QuadratureSpec, RECIP_GAMMA_COEFFS,
-                              ReciprocalGammaTable, g_quadrature, g_resolve,
-                              g_series, g_shift, gamma_eps, gamma_fn,
-                              generate_ck, recip_gamma, zeta)
+                              g_quadrature, g_resolve, g_series, g_shift,
+                              gamma_eps, gamma_fn, generate_ck, recip_gamma,
+                              zeta)
 from kummeru.numcore import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -67,10 +67,9 @@ class TestGammaFn:
 
 class TestTable:
     def test_head_coefficients(self):
-        t = ReciprocalGammaTable()
-        assert t.c[0] == 1.0
-        assert t.gamma_euler == 0.57721566490153286061
-        assert len(t.c) == 28
+        assert RECIP_GAMMA_COEFFS[0] == 1.0
+        assert EULER_GAMMA == RECIP_GAMMA_COEFFS[1] == 0.57721566490153286061
+        assert len(RECIP_GAMMA_COEFFS) == 28
 
     def test_recursion_residual_small_k(self):
         c = (0.0,) + RECIP_GAMMA_COEFFS  # 1-based view

@@ -4,36 +4,7 @@ import random
 
 import pytest
 
-from kummeru.numcore import (DomainError, RealPolynomial, StructuralError,
-                             cdiv, cexp, cexpm1, clog, cpow, csqrt, poly_calc)
-
-
-def test_basic_ops_identities():
-    assert (1 + 0j) * (1 + 0j) == 1 + 0j
-    assert csqrt(-1 + 0j) == 1j
-    assert clog(1 + 0j) == 0j
-    assert cexp(0) == 1 + 0j
-    assert cpow(2.0, 2.0) == pytest.approx(4.0)
-
-
-def test_guarded_ops_domain_errors():
-    with pytest.raises(DomainError):
-        cdiv(1.0, 0.0)
-    with pytest.raises(DomainError):
-        clog(0.0)
-    with pytest.raises(DomainError):
-        cpow(0.0, -1.0)
-
-
-def test_sqrt_principal_branch_nonnegative_real_part():
-    rng = random.Random(7)
-    for _ in range(1000):
-        w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if w.real < 0 and abs(w.imag) < 1e-9:
-            continue  # stay off the cut
-        r = csqrt(w)
-        assert r.real >= 0.0
-        assert abs(r * r - w) <= 1e-15 * abs(w)
+from kummeru.numcore import RealPolynomial, StructuralError, cexpm1
 
 
 def test_expm1_at_zero_and_tiny():
@@ -101,14 +72,3 @@ class TestRealPolynomial:
 
     def test_trailing_zeros_trimmed(self):
         assert RealPolynomial.of([1, 2, 0, 0]).degree == 1
-
-    def test_dispatcher(self):
-        p = RealPolynomial.of([0, 0, 1])
-        assert poly_calc(p, "derivative") == RealPolynomial.of([0, 2])
-        assert poly_calc(p, "antiderivative") == RealPolynomial.of([0, 0, 0, 1 / 3])
-        assert poly_calc(p, "divide_by_z") == RealPolynomial.of([0, 1])
-        assert poly_calc(p, "scale", 2.0) == RealPolynomial.of([0, 0, 2])
-        assert poly_calc(p, "add", p) == RealPolynomial.of([0, 0, 2])
-        assert poly_calc(p, "mul", p) == RealPolynomial.of([0, 0, 0, 0, 1])
-        with pytest.raises(DomainError):
-            poly_calc(p, "unknown")

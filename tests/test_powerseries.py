@@ -7,7 +7,7 @@ from kummeru.gammakit import EULER_GAMMA, gamma_fn
 from kummeru.numcore import DomainError
 from kummeru.powerseries import (KummerInput, eval_u, kummer_m_direct,
                                  raise_b, series_step_coeffs, shift_a_down,
-                                 sinc_pi_ratio, u_prime_small_z, w0)
+                                 sinc_pi_ratio, w0)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -115,10 +115,16 @@ class TestUSmallZ:
         assert out.u.imag != 0.0  # principal branch of log z on the cut
         assert "negative_axis_z" not in _u(0.2, 0.1, -0.5 - 0.1j).flags
 
+    def test_real_inputs_give_real_results(self):
+        # (-2.2, 0.4, 0.5) used to carry a spurious u.imag of -2.5e-16
+        for a, b, z in ((-2.2, 0.4, 0.5), (0.3, 1.4, 0.5), (1.7, 1e-8, 0.9)):
+            out = _u(a, b, z)
+            assert out.u.imag == 0.0 and out.u_prime.imag == 0.0
+
 
 class TestUPrime:
     def test_a_zero(self):
-        assert u_prime_small_z(KummerInput(a=0.0, b=0.25, z=0.7)).u_prime == 0j
+        assert eval_u(KummerInput(a=0.0, b=0.25, z=0.7)).u_prime == 0j
 
     def test_finite_difference(self):
         a, b, z, h = 0.2, 0.3, 0.8, 1e-5
