@@ -14,13 +14,11 @@ series and contour-quadrature routes) and ``besselkit`` (I/K Bessel).
 one ``select_method`` picks.
 """
 
-import os
-
 from .numcore import (ConvergenceError, DomainError, EvalOutcome,
                       RealPolynomial, StructuralError, cexpm1)
 from .gammakit import (EULER_GAMMA, QuadratureSpec, RECIP_GAMMA_COEFFS,
-                       g_quadrature, g_resolve, g_series, g_shift, gamma_eps,
-                       gamma_fn, generate_ck, recip_gamma, zeta)
+                       g_quadrature, g_resolve, g_series, gamma_fn,
+                       generate_ck, recip_gamma, zeta)
 from .besselkit import bessel_i, bessel_k
 from .powerseries import (KummerInput, eval_u, kummer_m_direct, raise_b,
                           series_step_coeffs, shift_a_down, w0)
@@ -39,7 +37,7 @@ __all__ = [
     "SlaterCoeffSet", "SlaterEval", "StructuralError",
     "backward_probe", "bessel_i", "bessel_k", "cexpm1", "eval_AB", "eval_u",
     "five_term_coeffs", "forward_coeffs", "g_quadrature", "g_resolve",
-    "g_series", "g_shift", "gamma_eps", "gamma_fn", "generate_ck",
+    "g_series", "gamma_fn", "generate_ck",
     "init_alpha_beta", "kummer_m_direct", "kummer_u", "m_bessel_convergent",
     "raise_b", "recip_gamma", "select_method", "series_step_coeffs",
     "shift_a_down", "slater_coeffs", "slater_m", "slater_u",
@@ -72,36 +70,26 @@ def kummer_u(a: float, b: float, z, method: str = "auto",
              terms: int | None = None, tol: float = 1e-16) -> EvalOutcome:
     """U(a,b,z) by the named route, or by select_method's choice for "auto".
 
-    terms is the series budget on the power route (default 200, or the
-    integer in $KUMMER_MAX_TERMS when set), and the number of coefficient
-    pairs on the convergent (default 20) and slater (default 4) routes; tol
-    is the power series' term tolerance.  U' is only produced by the power
-    route.
+    terms is the series budget on the power route (default 200) and the
+    number of coefficient pairs on the convergent (default 20) and slater
+    (default 4) routes; a value below 1 is a DomainError on every route.
+    tol is the power series' term tolerance.  U' is only produced by the
+    power route.
     """
     z = complex(z)
     if method == "auto":
         method = select_method(a, b, z)
     if method == "power":
-        if terms is None:
-            terms = _series_budget()
-        return eval_u(KummerInput(a=a, b=b, z=z, max_terms=terms, tol=tol))
+        return eval_u(KummerInput(a=a, b=b, z=z, tol=tol,
+                                  max_terms=200 if terms is None else terms))
     if method == "convergent":
-        return u_bessel_convergent(a, b, z, n=terms or 20)
+        return u_bessel_convergent(a, b, z, n=20 if terms is None else terms)
     if method == "slater":
         if z.imag != 0.0:
             raise DomainError("slater method requires real z")
-        K = terms or 4
+        K = 4 if terms is None else terms
         val, est = slater_u(a, b, z.real, K=K)
         return EvalOutcome(u=complex(val), terms_used=K, est_abs_error=est,
                            method="slater")
     raise DomainError(f"unknown method {method!r}")
 
-
-def _series_budget() -> int:
-    env = os.environ.get("KUMMER_MAX_TERMS")
-    if not env:
-        return 200
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError("KUMMER_MAX_TERMS must be an integer")

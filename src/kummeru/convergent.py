@@ -219,6 +219,8 @@ def _bessel_arg(a: float, z):
 def u_bessel_convergent(a: float, b: float, z, n: int = 20,
                         coeffs: ABCoefficients | None = None) -> EvalOutcome:
     """U(a,b,z) from the K-Bessel representation with n coefficient pairs."""
+    if n < 1:
+        raise DomainError("need n >= 1 coefficient pairs")
     a = float(a)
     b = float(b)
     z = complex(z)
@@ -240,6 +242,8 @@ def u_bessel_convergent(a: float, b: float, z, n: int = 20,
 def m_bessel_convergent(a: float, b: float, z, n: int = 20,
                         coeffs: ABCoefficients | None = None):
     """M(a;b;z)/Gamma(b) from the companion I-Bessel representation."""
+    if n < 1:
+        raise DomainError("need n >= 1 coefficient pairs")
     a = float(a)
     b = float(b)
     z = complex(z)

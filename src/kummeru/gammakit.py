@@ -10,11 +10,10 @@ Central objects:
   of reciprocal gammas, finite as b -> 0.  Two independent routes are
   provided: a coefficient series (``g_series``) and a trapezoidal contour
   integral (``g_quadrature``), so each can serve as the other's oracle.
-* shift relations moving the first argument of G by one or two units, and
-  the scaled gamma-ratio difference ``gamma_eps``.
+  ``g_resolve`` reaches every real a with |b| <= 1 by one shift of the
+  first argument from the series disk.
 
-All functions are pure and thread-safe; the quadrature node cache is
-immutable once built.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -175,20 +174,25 @@ def generate_ck(n: int, zeta_values=None) -> list:
 # the difference function G(a, b)
 # ---------------------------------------------------------------------------
 
+def _in_series_disk(a, b) -> bool:
+    return abs(a) <= 1.0 + 1e-12 and abs(a + b) <= 1.0 + 1e-12
+
+
 def g_series(a, b):
     """G(a,b) = (1/Gamma(a+1+b) - 1/Gamma(a+1))/b by the coefficient series
 
         G(a,b) = sum_{k>=2} c_k d_k,
         d_2 = 1, d_3 = 2a+b, d_{k+2} = (2a+b) d_{k+1} - a(a+b) d_k.
 
-    Valid for |a| <= 1/2 and |a+b| <= 1/2 (complex allowed).  The d_k seeds
-    and recurrence are polynomials in b, so b = 0 needs no special case and
-    the b -> 0 limit is exact.
+    Valid for |a| <= 1 and |a+b| <= 1 (complex allowed), where the 28-term
+    table keeps the absolute error below 1e-15.  The d_k seeds and
+    recurrence are polynomials in b, so b = 0 needs no special case and the
+    b -> 0 limit is exact.
     """
     a = complex(a)
     b = complex(b)
-    if abs(a) > 0.5 + 1e-12 or abs(a + b) > 0.5 + 1e-12:
-        raise DomainError("g_series requires |a| <= 1/2 and |a+b| <= 1/2")
+    if not _in_series_disk(a, b):
+        raise DomainError("g_series requires |a| <= 1 and |a+b| <= 1")
     c = RECIP_GAMMA_COEFFS
     d_prev = 1.0 + 0j          # d_2
     d_cur = 2.0 * a + b        # d_3
@@ -210,8 +214,7 @@ def g_series(a, b):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Contour for the trapezoidal evaluation of G: a circle of the given
-    radius sampled at equidistant angles.  Node values of 1/Gamma are
-    precomputed once per spec."""
+    radius sampled at equidistant angles."""
 
     radius: float = 1.0
     nodes: int = 64
@@ -221,26 +224,6 @@ class QuadratureSpec:
             raise DomainError("radius must be positive")
         if self.nodes < 16:
             raise DomainError("need at least 16 nodes")
-
-
-_NODE_CACHE: dict = {}
-
-
-def _contour_nodes(spec: QuadratureSpec):
-    key = (spec.radius, spec.nodes)
-    got = _NODE_CACHE.get(key)
-    if got is None:
-        n = spec.nodes
-        zs = []
-        rg = []
-        for j in range(n):
-            th = -math.pi + 2.0 * math.pi * j / n
-            z = spec.radius * cmath.exp(1j * th)
-            zs.append(z)
-            rg.append(recip_gamma(z))
-        got = (tuple(zs), tuple(rg))
-        _NODE_CACHE[key] = got
-    return got
 
 
 def g_quadrature(a, b, spec: QuadratureSpec = QuadratureSpec()):
@@ -257,64 +240,45 @@ def g_quadrature(a, b, spec: QuadratureSpec = QuadratureSpec()):
     b = complex(b)
     if spec.radius <= max(abs(a), abs(a + b)):
         raise DomainError("contour radius must exceed max(|a|, |a+b|)")
-    zs, rg = _contour_nodes(spec)
+    n = spec.nodes
     total = 0j
-    for z, r in zip(zs, rg):
-        total += r / ((z - a) * (z - a - b))
-    return total / spec.nodes
-
-
-def g_shift(a, b, g0):
-    """(G(a+1,b), G(a+2,b)) from g0 = G(a,b) via
-
-        (a+1)(a+b+1) G(a+1,b) = (a+1) G(a,b) - 1/Gamma(a+1),
-        (a+2)(a+b+2) G(a+2,b) = (2a+b+3) G(a+1,b) - G(a,b).
-
-    Intended for at most two steps; the stability of longer chains is not
-    established, so a warning accompanies external use beyond that (see
-    g_resolve).
-    """
-    a = complex(a)
-    b = complex(b)
-    f1 = (a + 1.0) * (a + b + 1.0)
-    f2 = (a + 2.0) * (a + b + 2.0)
-    if abs(f1) < 1e-150 or abs(f2) < 1e-150:
-        raise DomainError("vanishing leading factor in G shift")
-    g1 = ((a + 1.0) * g0 - recip_gamma(a + 1.0)) / f1
-    g2 = ((2.0 * a + b + 3.0) * g1 - g0) / f2
-    return g1, g2
-
-
-def _g_shift_down(a, b, g0, steps):
-    # G(a-1,b) = (a+b) G(a,b) + 1/Gamma(a+1); entire in all arguments.
-    g = g0
-    cur = complex(a)
-    for _ in range(steps):
-        g = (cur + b) * g + recip_gamma(cur + 1.0)
-        cur -= 1.0
-    return g
+    for j in range(n):
+        z = spec.radius * cmath.exp(1j * (-math.pi + 2.0 * math.pi * j / n))
+        total += recip_gamma(z) / ((z - a) * (z - a - b))
+    return total / n
 
 
 def g_resolve(a, b):
-    """G(a,b) for arguments beyond the series domain.
+    """G(a,b) by one centred shift of the first argument.
 
-    Routes: direct series when |a|, |a+b| <= 1/2; otherwise a shift of the
-    first argument by up to two integer units from a series-domain base
-    point; otherwise a contour quadrature with the radius widened to wrap
-    both poles.
+    G is symmetric in its poles a and a+b, so Re b < 0 is swapped to
+    G(a+b, -b).  The base point a0 = a - m with m = round(Re(a + b/2))
+    then centres both poles on the origin, g_series sums G(a0, b), and
+    the value is carried back m units with the one relation
+
+        G(a-1,b) = (a+b) G(a,b) + 1/Gamma(a+1),
+
+    run down for m < 0, or solved for G(a+1,b) and run up for m > 0, where
+    the swap keeps every divisor a0+b+1 >= 1/2.  Every real a with |b| <= 1
+    takes this route.  A base point still outside the series disk (an
+    off-axis complex a, or |b| > 1) falls back to a contour quadrature with
+    the radius widened to wrap both poles.
     """
     a = complex(a)
     b = complex(b)
-    if abs(a) <= 0.5 and abs(a + b) <= 0.5:
-        return g_series(a, b)
-    m = int(min(2, max(-2, round(a.real))))
+    if b.real < 0.0:
+        a, b = a + b, -b
+    m = round(a.real + b.real / 2.0)
     a0 = a - m
-    if m != 0 and abs(a0) <= 0.5 and abs(a0 + b) <= 0.5:
-        g0 = g_series(a0, b)
-        if m > 0:
-            g1, g2 = g_shift(a0, b, g0)
-            return g1 if m == 1 else g2
-        return _g_shift_down(a0, b, g0, -m)
+    if _in_series_disk(a0, b):
+        g = g_series(a0, b)
+        for _ in range(-m):
+            g = (a0 + b) * g + recip_gamma(a0 + 1.0)
+            a0 -= 1.0
+        for _ in range(m):
+            g = (g - recip_gamma(a0 + 2.0)) / (a0 + b + 1.0)
+            a0 += 1.0
+        return g
     rad = max(1.25, abs(a) + 0.35, abs(a + b) + 0.35)
     if rad > 3.0:
         raise DomainError("G argument too large for quadrature fallback")
@@ -322,11 +286,3 @@ def g_resolve(a, b):
     n = 64 if rho < 0.45 else int(40.0 / -math.log(rho)) + 32
     n = min(4096, max(64, n))
     return g_quadrature(a, b, QuadratureSpec(radius=rad, nodes=n))
-
-
-def gamma_eps(zv, eps):
-    """Scaled gamma-ratio difference (Gamma(z+eps)/Gamma(z) - 1)/eps,
-    computed as -Gamma(z+eps) * G(z-1, eps)."""
-    zv = complex(zv)
-    eps = complex(eps)
-    return -gamma_fn(zv + eps) * g_resolve(zv - 1.0, eps)

@@ -105,6 +105,8 @@ def slater_u(a: float, b: float, zsq: float, K: int = 4):
     """U(a,b,zsq) from the K-Bessel expansion truncated at K pairs.
 
     Returns (value, est_abs_error)."""
+    if K < 1:
+        raise DomainError("need K >= 1 coefficient pairs")
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
@@ -125,8 +127,7 @@ def slater_m(a: float, b: float, zsq: float, K: int = 4):
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
-    coeffs = slater_coeffs(pt.b, K + 1)
-    sa, sb, _ = _sums(coeffs, z, u, K)
+    sa, sb, _ = _sums(slater_coeffs(pt.b, K), z, u, K)
     pref = gamma_fn(b).real * u ** (1.0 - b) * 2.0 ** (b - 1.0)
     ib1 = bessel_i(b - 1.0, u * z).real
     ib = bessel_i(b, u * z).real

@@ -1,13 +1,22 @@
 import importlib.util
 import os
+import sys
 
 import pytest
 
 from kummeru import (DomainError, KummerInput, cli, eval_u, kummer_u, numcore,
                      slater_u, u_bessel_convergent)
 
-_TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                       "tracer.py")
+_BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(_BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestKummerU:
@@ -37,20 +46,27 @@ class TestKummerU:
         with pytest.raises(DomainError, match="nonzero"):
             kummer_u(0.2, 0.3, 0)
 
-    def test_series_budget_from_environment(self, monkeypatch):
-        monkeypatch.setenv("KUMMER_MAX_TERMS", "3")
-        assert "truncated" in kummer_u(0.2, 0.3, 1 + 1j).flags
-        assert "truncated" not in kummer_u(0.2, 0.3, 1 + 1j, terms=200).flags
-        monkeypatch.setenv("KUMMER_MAX_TERMS", "many")
-        with pytest.raises(DomainError, match="KUMMER_MAX_TERMS"):
-            kummer_u(0.2, 0.3, 1 + 1j)
+    def test_series_budget_from_environment(self):
+        assert "truncated" in kummer_u(0.2, 0.3, 1 + 1j, terms=3).flags
+        assert "truncated" not in kummer_u(0.2, 0.3, 1 + 1j).flags
+
+    @pytest.mark.parametrize("method,a", [("power", 0.2), ("convergent", 5.0),
+                                          ("slater", 60.0)])
+    def test_zero_terms_rejected(self, method, a):
+        with pytest.raises(DomainError):
+            kummer_u(a, 0.4, 0.5, method=method, terms=0)
+
+    @pytest.mark.parametrize("a,b", [(-2.4, 0.3), (2.45, -0.3)])
+    def test_former_g_resolve_holes(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        ref = float(mpmath.hyperu(a, b, 0.5))
+        assert abs(kummer_u(a, b, 0.5).u - ref) <= 1e-12 * abs(ref)
 
 
 def test_names_the_benchmark_uses_resolve():
-    """The benchmark wraps these functions by name and unpacks slater_u."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    """The benchmark wraps these functions by name, unpacks slater_u and
+    calls the library through each workload's caller."""
+    tracer = _load_bench("tracer")
     for modname, fname in tracer.TRACED:
         module = importlib.import_module("kummeru." + modname)
         assert callable(getattr(module, fname)), (modname, fname)
@@ -59,3 +75,6 @@ def test_names_the_benchmark_uses_resolve():
     assert callable(cli.select_method)
     result = slater_u(60.0, 0.3, 0.5)
     assert isinstance(result, tuple) and len(result) == 2
+    workloads = _load_bench("workloads")
+    for w in workloads.WORKLOADS:
+        workloads.make_caller(w)(next(workloads.stream(w, 1)))

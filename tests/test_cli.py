@@ -90,11 +90,17 @@ class TestEval:
         assert rec["method"] == "slater"
         assert rec["up_re"] is None
 
-    def test_max_terms_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("KUMMER_MAX_TERMS", "3")
-        rc = main(["eval", "--a", "0.2", "--b", "0.3", "--z", "1,1", "--json"])
+    def test_max_terms_env_override(self, capsys):
+        rc = main(["eval", "--a", "0.2", "--b", "0.3", "--z", "1,1",
+                   "--terms", "3", "--json"])
         capsys.readouterr()
         assert rc == EXIT_ACCURACY
+
+    def test_zero_terms_exit_domain(self, capsys):
+        rc = main(["eval", "--a", "5", "--b", "0.4", "--z", "0.5",
+                   "--terms", "0", "--json"])
+        capsys.readouterr()
+        assert rc == EXIT_DOMAIN
 
     def test_human_readable_output(self, capsys):
         rc = main(["eval", "--a", "0.2", "--b", "0.3", "--z", "0.5"])

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from kummeru import gammakit
 from kummeru.gammakit import (EULER_GAMMA, QuadratureSpec, RECIP_GAMMA_COEFFS,
-                              g_quadrature, g_resolve, g_series, g_shift,
-                              gamma_eps, gamma_fn, generate_ck, recip_gamma,
-                              zeta)
+                              g_quadrature, g_resolve, g_series, gamma_fn,
+                              generate_ck, recip_gamma, zeta)
 from kummeru.numcore import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -131,9 +131,9 @@ class TestGSeries:
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            g_series(0.7, 0.0)
+            g_series(1.2, 0.0)
         with pytest.raises(DomainError):
-            g_series(0.4, 0.4)
+            g_series(0.6, 0.6)
 
     def test_b_symmetry(self):
         for a in (-0.4, -0.2, 0.0, 0.2, 0.4):
@@ -190,29 +190,6 @@ class TestGQuadrature:
             QuadratureSpec(nodes=8)
 
 
-class TestGShift:
-    def test_one_shift_from_origin(self):
-        # G(1,0) = gamma - 1, also cross-checked by a wider contour
-        g1, _ = g_shift(0.0, 0.0, g_series(0.0, 0.0))
-        assert abs(g1 - (EULER_GAMMA - 1.0)) <= 1e-14
-        oracle = g_quadrature(1.0, 0.0, QuadratureSpec(radius=1.5, nodes=256))
-        assert abs(g1 - oracle) <= 1e-13
-
-    def test_one_shift_half(self):
-        g1, _ = g_shift(0.0, 0.5, g_series(0.0, 0.5))
-        oracle = g_quadrature(1.0, 0.5, QuadratureSpec(radius=1.75, nodes=384))
-        assert abs(g1 - oracle) <= 1e-12
-
-    def test_two_shifts_from_origin(self):
-        _, g2 = g_shift(0.0, 0.0, g_series(0.0, 0.0))
-        oracle = g_quadrature(2.0, 0.0, QuadratureSpec(radius=2.3, nodes=512))
-        assert abs(g2 - oracle) <= 1e-11
-
-    def test_vanishing_factor_rejected(self):
-        with pytest.raises(DomainError):
-            g_shift(-1.0, 0.0, 0.0)
-
-
 class TestGResolve:
     def test_matches_series_inside(self):
         assert g_resolve(0.2, 0.1) == g_series(0.2, 0.1)
@@ -227,24 +204,46 @@ class TestGResolve:
         oracle = g_quadrature(-0.8, 0.01, QuadratureSpec(radius=1.1, nodes=512))
         assert abs(got - oracle) <= 1e-12
 
-    def test_quadrature_fallback_region(self):
-        # |a - b| > 1/2 with |a| <= 1/2: series domain fails at the base point
-        got = g_resolve(0.2, -0.7)
-        lhs = recip_gamma(0.2 + 1 - 0.7)  # definition check
-        rhs = recip_gamma(1.2)
-        assert abs(got - (lhs - rhs) / -0.7) <= 1e-12
+    def test_quadrature_fallback_region(self, monkeypatch):
+        # an off-axis a leaves the series disk at every shifted base point
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return g_quadrature(*args)
+
+        monkeypatch.setattr(gammakit, "g_quadrature", counted)
+        a, b = 0.3 + 1.5j, 0.2
+        got = g_resolve(a, b)
+        assert len(calls) == 1
+        direct = (recip_gamma(a + 1 + b) - recip_gamma(a + 1)) / b
+        assert abs(got - direct) <= 1e-12
 
 
-class TestGammaEps:
-    def test_zero_eps_limit(self):
-        # (Gamma(z+eps)/Gamma(z)-1)/eps -> psi(1) = -gamma at z = 1
-        assert abs(gamma_eps(1.0, 0.0) + EULER_GAMMA) <= 1e-14
+def _g_mpmath(mp, a, b):
+    a, b = mp.mpc(a), mp.mpc(b)
+    if b == 0:
+        return complex(mp.diff(mp.rgamma, a + 1))
+    return complex((mp.rgamma(a + 1 + b) - mp.rgamma(a + 1)) / b)
 
-    def test_half_eps_direct(self):
-        expect = (0.75 * SQRT_PI / 1.5 - 1.0) / 0.5  # (Gamma(1.5)-1)/0.5
-        assert abs(gamma_eps(1.0, 0.5) - expect) <= 1e-13
 
-    def test_quarter_shift_direct_ratio(self):
-        got = gamma_eps(1.25, 0.25)
-        direct = (gamma_fn(1.5) / gamma_fn(1.25) - 1.0) / 0.25
-        assert abs(got - direct) <= 1e-13
+def test_g_resolve_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    pts = [(rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(150)]
+    pts += [(a, b) for a in (-2.5, -2.0, -0.5, 0.0, 1.0, 2.0, 2.5)
+            for b in (-1.0, -0.999, 0.0, 0.5, 0.999, 1.0)]
+    # a + b/2 on a half-integer: the shift count is decided by rounding
+    pts += [(k + 0.5 - b / 2, b) for k in range(-3, 3)
+            for b in (-1.0, -0.4, 0.3, 1.0)]
+    pts += [(complex(rng.uniform(-2.5, 2.5), rng.uniform(-0.1, 0.1)),
+             complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.05, 0.05)))
+            for _ in range(40)]
+    # off the axis the base point stays outside the disk: quadrature
+    pts += [(complex(rng.uniform(-0.8, 0.8), s * rng.uniform(1.0, 2.0)),
+             rng.uniform(-0.3, 0.3)) for s in (-1, 1) for _ in range(10)]
+    with mp.workdps(40):
+        for a, b in pts:
+            ref = _g_mpmath(mp, a, b)
+            assert abs(g_resolve(a, b) - ref) <= 1e-14 * max(1.0, abs(ref)), \
+                (a, b)
