@@ -91,11 +91,6 @@ class ReportRow:
     method: str
 
 
-def in_region(a: float, z: float, b: float) -> bool:
-    """Advertised validity region of the convergent method, on real z > 0."""
-    return 0 < z and _in_convergent_domain(a, b, z)
-
-
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
@@ -162,54 +157,46 @@ def cmd_table2(_args) -> int:
     return EXIT_OK if worst <= _TABLE2_TOL else EXIT_ACCURACY
 
 
-def _reference_error(a: float, b: float, z: float, n: int,
-                     coeffs) -> float:
-    """Relative error of the convergent evaluation against the designated
-    reference: the power series where it is valid (|a| <= 2.5), otherwise
-    the regularised-M consistency proxy with the direct 1F1 sum."""
-    if abs(a) <= 2.5:
-        ref = powerseries.eval_u(powerseries.KummerInput(a=a, b=b, z=z)).u
-        val = convergent.u_bessel_convergent(a, b, z, n=n, coeffs=coeffs).u
-        return abs(val - ref) / abs(ref)
-    ref = powerseries.kummer_m_direct(a, b, z) * gammakit.recip_gamma(b)
-    val = convergent.m_bessel_convergent(a, b, z, n=n, coeffs=coeffs)
-    return abs(val - ref) / abs(ref)
-
-
 def grid_rows(spec: GridSpec, mode: str):
     """Compute the in-region rows of the requested error grid.
 
-    Cells outside the advertised region are omitted.  fixed_terms reports
-    the error at n_terms coefficients; terms_needed reports the smallest
-    coefficient count reaching target_tol (n_terms + 1 marks 'not reached'
-    within the search budget).
+    Cells outside the advertised region of the convergent method are
+    omitted.  Each cell's reference is computed once: the power series where
+    it is valid (|a| <= 2.5), otherwise the regularised-M consistency proxy
+    with the direct 1F1 sum.  fixed_terms reports the error at n_terms
+    coefficients; terms_needed reports the smallest coefficient count in
+    2..n_terms reaching target_tol (n_terms + 1 marks 'not reached' within
+    the search budget).
     """
+    fixed = mode == "fixed_terms"
+    counts = (spec.n_terms,) if fixed else range(2, spec.n_terms + 1)
+    b = spec.b
     rows = []
     for a in spec.a_values():
+        u_ref = abs(a) <= 2.5
         coeffs = None
         for z in spec.z_values():
-            if not in_region(a, z, spec.b):
+            if not (z > 0 and _in_convergent_domain(a, b, z)):
                 continue
             if coeffs is None:
-                budget = max(spec.n_terms, 2) + 1
-                coeffs = convergent.forward_coeffs(a, spec.b, budget)
-            if mode == "fixed_terms":
-                err = _reference_error(a, spec.b, z, spec.n_terms, coeffs)
-                rows.append(ReportRow(a=a, z=z, rel_err=err,
-                                      terms_used=spec.n_terms,
-                                      method="convergent"))
+                coeffs = convergent.forward_coeffs(a, b, max(spec.n_terms, 2))
+            if u_ref:
+                ref = powerseries.eval_u(powerseries.KummerInput(a=a, b=b, z=z)).u
             else:
-                found = None
-                err = math.inf
-                for n in range(2, spec.n_terms + 1):
-                    err = _reference_error(a, spec.b, z, n, coeffs)
-                    if err <= spec.target_tol:
-                        found = n
-                        break
-                rows.append(ReportRow(
-                    a=a, z=z, rel_err=err,
-                    terms_used=found if found is not None else spec.n_terms + 1,
-                    method="convergent"))
+                ref = powerseries.kummer_m_direct(a, b, z) * gammakit.recip_gamma(b)
+            err = math.inf
+            used = spec.n_terms + 1
+            for n in counts:
+                if u_ref:
+                    val = convergent.u_bessel_convergent(a, b, z, n=n, coeffs=coeffs).u
+                else:
+                    val = convergent.m_bessel_convergent(a, b, z, n=n, coeffs=coeffs)
+                err = abs(val - ref) / abs(ref)
+                if fixed or err <= spec.target_tol:
+                    used = n
+                    break
+            rows.append(ReportRow(a=a, z=z, rel_err=err, terms_used=used,
+                                  method="convergent"))
     return rows
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kummeru import powerseries
 from kummeru.cli import (EXIT_ACCURACY, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                          GridSpec, grid_rows, main, read_grid_csv,
                          select_method, table2_residuals, write_grid_csv)
@@ -148,6 +149,22 @@ class TestGrid:
         rows = read_grid_csv(str(out))
         assert rows
         assert all(r.terms_used <= 10 for r in rows)
+
+    @pytest.mark.parametrize("mode", ["fixed_terms", "terms_needed"])
+    def test_one_reference_per_cell(self, monkeypatch, mode):
+        calls = []
+        for name in ("eval_u", "kummer_m_direct"):
+            def counted(*args, _fn=getattr(powerseries, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(powerseries, name, counted)
+        # a = 1.5, 2.5, 3.5 crosses the |a| <= 2.5 edge of the U reference
+        spec = GridSpec(b=0.4, a_min=1.5, a_max=3.5, a_steps=3,
+                        z_min=0.05, z_max=0.25, z_steps=3)
+        rows = grid_rows(spec, mode)
+        assert len(rows) == 9
+        assert calls.count("eval_u") == 6
+        assert calls.count("kummer_m_direct") == 3
 
     def test_out_of_region_cells_omitted(self, tmp_path):
         # all four corners have za > 10: header-only file
