@@ -106,15 +106,17 @@ def recip_gamma(w):
 
 
 def gamma_fn(w):
-    """Gamma(w) = 1/recip_gamma(w); domain error at the poles and where
-    1/Gamma underflows to 0, i.e. Gamma overflows the double range."""
+    """Gamma(w) = 1/recip_gamma(w); domain error at the poles and wherever
+    that quotient is not finite, i.e. Gamma overflows the double range
+    (1/Gamma subnormal or 0)."""
     w = complex(w)
     if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
         raise DomainError(f"gamma pole at {w.real}")
     r = recip_gamma(w)
-    if r == 0:
+    g = 1.0 / r if r != 0 else math.inf
+    if not cmath.isfinite(g):
         raise DomainError(f"Gamma overflows the double range at {w}")
-    return 1.0 / r
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +255,16 @@ def g_resolve(a, b):
 
     G is symmetric in its poles a and a+b, so Re b < 0 is swapped to
     G(a+b, -b).  The base point a0 = a - m with m = round(Re(a + b/2))
-    then centres both poles on the origin, g_series sums G(a0, b), and
-    the value is carried back m units with the one relation
+    then centres both poles on the origin.  G(a0, b) is summed by g_series
+    inside its disk (every real a with |b| <= 1), and otherwise (an
+    off-axis complex a, or |b| > 1) by a contour quadrature at a0 whose
+    radius wraps both poles.  The value is carried back m units with the
+    one relation
 
         G(a-1,b) = (a+b) G(a,b) + 1/Gamma(a+1),
 
     run down for m < 0, or solved for G(a+1,b) and run up for m > 0, where
-    the swap keeps every divisor a0+b+1 >= 1/2.  Every real a with |b| <= 1
-    takes this route.  A base point still outside the series disk (an
-    off-axis complex a, or |b| > 1) falls back to a contour quadrature with
-    the radius widened to wrap both poles.
+    the swap keeps every divisor |a0+b+1| >= 1/2.
     """
     a = complex(a)
     b = complex(b)
@@ -272,17 +274,18 @@ def g_resolve(a, b):
     a0 = a - m
     if _in_series_disk(a0, b):
         g = g_series(a0, b)
-        for _ in range(-m):
-            g = (a0 + b) * g + recip_gamma(a0 + 1.0)
-            a0 -= 1.0
-        for _ in range(m):
-            g = (g - recip_gamma(a0 + 2.0)) / (a0 + b + 1.0)
-            a0 += 1.0
-        return g
-    rad = max(1.25, abs(a) + 0.35, abs(a + b) + 0.35)
-    if rad > 3.0:
-        raise DomainError("G argument too large for quadrature fallback")
-    rho = max(abs(a), abs(a + b)) / rad
-    n = 64 if rho < 0.45 else int(40.0 / -math.log(rho)) + 32
-    n = min(4096, max(64, n))
-    return g_quadrature(a, b, QuadratureSpec(radius=rad, nodes=n))
+    else:
+        rad = max(1.25, abs(a0) + 0.35, abs(a0 + b) + 0.35)
+        if rad > 3.5:
+            raise DomainError("G argument too large for quadrature fallback")
+        rho = max(abs(a0), abs(a0 + b)) / rad
+        n = 64 if rho < 0.45 else int(40.0 / -math.log(rho)) + 32
+        n = min(4096, max(64, n))
+        g = g_quadrature(a0, b, QuadratureSpec(radius=rad, nodes=n))
+    for _ in range(-m):
+        g = (a0 + b) * g + recip_gamma(a0 + 1.0)
+        a0 -= 1.0
+    for _ in range(m):
+        g = (g - recip_gamma(a0 + 2.0)) / (a0 + b + 1.0)
+        a0 += 1.0
+    return g

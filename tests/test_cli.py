@@ -68,6 +68,13 @@ class TestEval:
         assert rc == EXIT_DOMAIN
         assert "overflow" in err and "pole" not in err
 
+    def test_gamma_overflow_with_subnormal_recip_gamma(self, capsys):
+        # 1/Gamma(172.7) is subnormal, not 0; U used to come back as 0.0
+        rc = main(["eval", "--a", "172", "--b", "0.3", "--z", "0.4"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DOMAIN
+        assert "overflows the double range" in err
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["eval", "--b", "0.5", "--z", "1"])
         capsys.readouterr()

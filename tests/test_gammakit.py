@@ -55,6 +55,15 @@ class TestGammaFn:
         with pytest.raises(DomainError):
             gamma_fn(-3.0)
 
+    @pytest.mark.parametrize("w", [171.7, 172.5, 175.0, 178.0, 178.6, 200.0])
+    def test_overflow_is_domain_error(self, w):
+        # 1/Gamma is subnormal up to w ~ 178.5, so 1/recip_gamma is inf
+        with pytest.raises(DomainError, match="overflows the double range"):
+            gamma_fn(w)
+
+    def test_largest_finite_value(self):
+        assert math.isfinite(gamma_fn(171.6).real)
+
     def test_product_consistency_grid(self):
         pts = [complex(x, y)
                for x in [-2 + 0.44 * i for i in range(10)]
@@ -242,6 +251,11 @@ def test_g_resolve_against_mpmath():
     # off the axis the base point stays outside the disk: quadrature
     pts += [(complex(rng.uniform(-0.8, 0.8), s * rng.uniform(1.0, 2.0)),
              rng.uniform(-0.3, 0.3)) for s in (-1, 1) for _ in range(10)]
+    # off-axis a across the power route's |a| <= 2.5, |b| <= 1/2: the
+    # quadrature base point a0 needs a contour radius up to about 3.2
+    pts += [(cmath.rect(rng.uniform(1.5, 2.5), s * rng.uniform(0.3, 2.8)),
+             rng.uniform(-0.5, 0.5)) for s in (-1, 1) for _ in range(15)]
+    pts += [(-1.4 + 1.9j, 0.45), (-1.5 + 1.95j, 0.4), (-1.5 - 1.95j, -0.4)]
     with mp.workdps(40):
         for a, b in pts:
             ref = _g_mpmath(mp, a, b)

@@ -122,6 +122,14 @@ class TestUSmallZ:
             assert out.u.imag == 0.0 and out.u_prime.imag == 0.0
 
 
+    @pytest.mark.parametrize("a,b", [(-1.4 + 1.9j, 0.45), (-1.5 + 1.95j, 0.4)])
+    def test_off_axis_complex_a(self, a, b):
+        # G(a, b) used to raise "G argument too large for quadrature fallback"
+        mpmath = pytest.importorskip("mpmath")
+        ref = complex(mpmath.hyperu(a, b, 0.5))
+        assert abs(_u(a, b, 0.5).u - ref) <= 1e-12 * abs(ref)
+
+
 class TestUPrime:
     def test_a_zero(self):
         assert eval_u(KummerInput(a=0.0, b=0.25, z=0.7)).u_prime == 0j

@@ -122,3 +122,8 @@ class TestSlaterU:
     def test_validation(self):
         with pytest.raises(DomainError):
             slater_u(0.1, 0.5, 0.25)
+
+    def test_gamma_overflow_raises(self):
+        # Gamma(1 + a - b) = Gamma(172.7) overflows; the value was (0.0, 0.0)
+        with pytest.raises(DomainError, match="overflows the double range"):
+            slater_u(172.0, 0.3, 0.4)
