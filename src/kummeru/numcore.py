@@ -11,7 +11,7 @@ All operations are pure; nothing here holds mutable state.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, field
 
 
@@ -34,22 +34,14 @@ class ConvergenceError(RuntimeError):
 def cexpm1(w):
     """exp(w) - 1 with full relative accuracy for small |w|.
 
-    Uses the Taylor series for |w| < 0.5 and exp(w) - 1 directly otherwise.
+    With w = x + iy, Re = expm1(x) cos y - 2 sin^2(y/2) and
+    Im = e^x sin y: no term cancels as w -> 0.
     """
     w = complex(w)
-    if abs(w) >= 0.5:
-        return cmath.exp(w) - 1.0
-    s = 0j
-    t = 1.0 + 0j
-    n = 1
-    while True:
-        t *= w / n
-        s += t
-        if abs(t) <= 1e-18 * abs(s) and n >= 3:
-            return s
-        n += 1
-        if n > 40:  # unreachable for |w| < 0.5
-            return s
+    x, y = w.real, w.imag
+    s = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * s * s,
+                   math.exp(x) * math.sin(y))
 
 
 def phi1(w):
