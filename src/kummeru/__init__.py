@@ -50,6 +50,15 @@ def _in_convergent_domain(a: float, b: float, z: complex) -> bool:
     return a > 0 and 0.05 <= b <= 0.95 and abs(z * a) <= 10.0
 
 
+def _real_ab(a, b):
+    """(a, b) as floats; only the power route covers non-real a or b."""
+    a, b = complex(a), complex(b)
+    if a.imag != 0.0 or b.imag != 0.0:
+        raise DomainError("non-real a or b is only covered by the power "
+                          "route (|a| <= 2.5, |z| <= 1.5)")
+    return a.real, b.real
+
+
 def select_method(a: float, b: float, z: complex) -> str:
     """Deterministic auto-selection; ties broken power > convergent > slater.
 
@@ -59,6 +68,7 @@ def select_method(a: float, b: float, z: complex) -> str:
         raise DomainError("z must be nonzero")
     if abs(a) <= 2.5 and abs(z) <= 1.5:
         return "power"
+    a, b = _real_ab(a, b)
     if _in_convergent_domain(a, b, z):
         return "convergent"
     if a >= 30.0 and z.imag == 0.0 and z.real > 0:
@@ -82,6 +92,7 @@ def kummer_u(a: float, b: float, z, method: str = "auto",
     if method == "power":
         return eval_u(KummerInput(a=a, b=b, z=z, tol=tol,
                                   max_terms=200 if terms is None else terms))
+    a, b = _real_ab(a, b)
     if method == "convergent":
         return u_bessel_convergent(a, b, z, n=20 if terms is None else terms)
     if method == "slater":

@@ -68,6 +68,8 @@ class GridSpec:
             raise DomainError("steps must be >= 2")
         if not (self.a_min < self.a_max and self.z_min < self.z_max):
             raise DomainError("ranges must be ordered")
+        if self.n_terms < 1:
+            raise DomainError("n_terms must be >= 1")
         if not (0.0 < self.target_tol <= 1e-6):
             raise DomainError("target_tol must lie in (0, 1e-6]")
         if not (0.05 <= self.b <= 0.95):

@@ -56,6 +56,15 @@ class TestKummerU:
         with pytest.raises(DomainError):
             kummer_u(a, 0.4, 0.5, method=method, terms=0)
 
+    def test_non_real_off_power_route(self):
+        for a, b, z, method in ((3 + 1j, 0.3, 0.5, "auto"),
+                                (0.3, 0.2 + 0.1j, 5.0, "auto"),
+                                (5 + 1j, 0.4, 0.5, "convergent"),
+                                (60 + 1j, 0.3, 0.5, "slater")):
+            with pytest.raises(DomainError, match="non-real a or b"):
+                kummer_u(a, b, z, method=method)
+        assert kummer_u(5 + 0j, 0.4 + 0j, 0.5).u == kummer_u(5.0, 0.4, 0.5).u
+
     @pytest.mark.parametrize("a,b", [(-2.4, 0.3), (2.45, -0.3)])
     def test_former_g_resolve_holes(self, a, b):
         mpmath = pytest.importorskip("mpmath")

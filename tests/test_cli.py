@@ -189,6 +189,15 @@ class TestGrid:
         capsys.readouterr()
         assert rc == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("mode", ["fixed_terms", "terms_needed"])
+    def test_zero_terms_exit_domain(self, tmp_path, capsys, mode):
+        rc = main(["grid", "--b", "0.4", "--a-min", "0.5", "--a-max", "2.0",
+                   "--a-steps", "3", "--z-min", "0.05", "--z-max", "0.25",
+                   "--z-steps", "3", "--n-terms", "0", "--mode", mode,
+                   "--out", str(tmp_path / "x.csv")])
+        capsys.readouterr()
+        assert rc == EXIT_DOMAIN
+
     def test_csv_shortest_roundtrip_format(self, tmp_path):
         out = tmp_path / "fmt.csv"
         spec = GridSpec(b=0.4, a_min=0.1, a_max=0.3, a_steps=2,
