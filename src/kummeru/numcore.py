@@ -35,7 +35,7 @@ def cexpm1(w):
     """exp(w) - 1 with full relative accuracy for small |w|.
 
     With w = x + iy, Re = expm1(x) cos y - 2 sin^2(y/2) and
-    Im = e^x sin y: no term cancels as w -> 0.
+    Im = e^x sin y, so neither part subtracts 1 from a number near 1.
     """
     w = complex(w)
     x, y = w.real, w.imag

@@ -57,7 +57,7 @@ class TestGammaFn:
 
     @pytest.mark.parametrize("w", [171.7, 172.5, 175.0, 178.0, 178.6, 200.0])
     def test_overflow_is_domain_error(self, w):
-        # 1/Gamma is subnormal up to w ~ 178.5, so 1/recip_gamma is inf
+        # 1/Gamma is subnormal from w ~ 171.7 to 178.5 (1/r is inf), 0 beyond
         with pytest.raises(DomainError, match="overflows the double range"):
             gamma_fn(w)
 

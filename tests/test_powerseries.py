@@ -121,7 +121,6 @@ class TestUSmallZ:
             out = _u(a, b, z)
             assert out.u.imag == 0.0 and out.u_prime.imag == 0.0
 
-
     @pytest.mark.parametrize("a,b", [(-1.4 + 1.9j, 0.45), (-1.5 + 1.95j, 0.4)])
     def test_off_axis_complex_a(self, a, b):
         # G(a, b) used to raise "G argument too large for quadrature fallback"
