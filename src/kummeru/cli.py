@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .numcore import ConvergenceError, DomainError
 from . import gammakit, powerseries, convergent
-from . import _in_convergent_domain, kummer_u
-from . import select_method  # noqa: F401  (callers use cli.select_method)
+from . import _in_convergent_domain, kummer_u, select_method
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,7 +163,7 @@ def grid_rows(spec: GridSpec, mode: str):
 
     Cells outside the advertised region of the convergent method are
     omitted.  Each cell's reference is computed once: the power series where
-    it is valid (|a| <= 2.5), otherwise the regularised-M consistency proxy
+    select_method picks it, otherwise the regularised-M consistency proxy
     with the direct 1F1 sum.  fixed_terms reports the error at n_terms
     coefficients; terms_needed reports the smallest coefficient count in
     2..n_terms reaching target_tol (n_terms + 1 marks 'not reached' within
@@ -175,11 +174,11 @@ def grid_rows(spec: GridSpec, mode: str):
     b = spec.b
     rows = []
     for a in spec.a_values():
-        u_ref = abs(a) <= 2.5
         coeffs = None
         for z in spec.z_values():
             if not (z > 0 and _in_convergent_domain(a, b, z)):
                 continue
+            u_ref = select_method(a, b, z) == "power"
             if coeffs is None:
                 coeffs = convergent.forward_coeffs(a, b, max(spec.n_terms, 2))
             if u_ref:

@@ -25,11 +25,11 @@ to 1/2, the forward steps become
 
 The recurrence runs in plain double arithmetic: the roundoff it adds along
 the dominant solution stays below the error already carried by the initial
-values.  For a <= 2.5 those are formed through the G function of gammakit
-to avoid their small-b and large-a cancellations.  The achievable relative
-accuracy of U still degrades like e^{4 sqrt(az)} * eps from the rounding of
-the initial values themselves; the M combination is insensitive to this
-(it weights the dominant direction).
+values.  Those are formed through the G function of gammakit, which removes
+their small-b cancellation.  The achievable relative accuracy of U still
+degrades like e^{4 sqrt(az)} * eps from the rounding of the initial values
+themselves; the M combination is insensitive to this (it weights the
+dominant direction).
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ _B_EXCLUSION = 1e-3  # radius of the rejected neighborhoods of b in {0,1,2}
 # initial values and forward generation
 # ---------------------------------------------------------------------------
 
-def _check_b(b: float):
-    for excl in (0.0, 1.0, 2.0):
-        if abs(b - excl) < _B_EXCLUSION:
-            raise DomainError(
-                f"b within {_B_EXCLUSION} of {excl:g}: the initial-value "
-                "formulas divide by b(1-b)(2-b); use the power-series "
-                "method in that region")
-
-
 def init_alpha_beta(a: float, b: float):
     """(alpha_0, alpha_1, beta_0, beta_1) with
 
@@ -66,31 +57,30 @@ def init_alpha_beta(a: float, b: float):
         beta_0  = a (alpha_0 - 1) / (1 - b),
         beta_1  = a (alpha_0 (4a - 2b + b^2) - 4a + b^2) / (2b(b-1)(b-2)).
 
-    For a <= 2.5 the quantity X = (alpha_0 - 1)/b is formed directly from
-    1/Gamma(a+1-b) = 1/Gamma(a+1) - b G(a,-b), which removes the explicit
-    division by b from every formula above.
+    The quantity X = (alpha_0 - 1)/b is formed directly from 1/Gamma(a+1-b)
+    = 1/Gamma(a+1) - b G(a,-b), which removes the explicit division by b
+    from every formula above.
     """
     a = float(a)
     b = float(b)
     if a <= 0:
         raise DomainError("need a > 0")
-    _check_b(b)
-    if a <= 2.5:
-        la = math.log(a)
-        # X = (a^{-b} - 1)/b - a^{1-b} Gamma(a) G(a,-b), exact as b -> 0
-        x = (-la * phi1(-b * la)).real - a ** (1.0 - b) * gamma_fn(a).real \
-            * g_resolve(a, -b).real
-        alpha0 = 1.0 + b * x
-        alpha1 = ((b - 1.0) + x * (b * b - b + 2.0 * a)) / (2.0 * (1.0 - b))
-        beta0 = a * b * x / (1.0 - b)
-        beta1 = a * (2.0 * (b - 1.0) + x * (4.0 * a - 2.0 * b + b * b)) \
-            / (2.0 * (b - 1.0) * (b - 2.0))
-        return alpha0, alpha1, beta0, beta1
-    alpha0 = a ** (1.0 - b) * gamma_fn(a).real * recip_gamma(a + 1.0 - b).real
-    alpha1 = (alpha0 * (b * b - b + 2.0 * a) - 2.0 * a) / (2.0 * b * (1.0 - b))
-    beta0 = a * (alpha0 - 1.0) / (1.0 - b)
-    beta1 = a * (alpha0 * (4.0 * a - 2.0 * b + b * b) - 4.0 * a + b * b) \
-        / (2.0 * b * (b - 1.0) * (b - 2.0))
+    for excl in (0.0, 1.0, 2.0):
+        if abs(b - excl) < _B_EXCLUSION:
+            raise DomainError(
+                f"b within {_B_EXCLUSION} of {excl:g}: the initial values "
+                "divide by (1-b)(2-b), and the Bessel orders b-1 and b are "
+                "integers there, where the connection branch of bessel_k "
+                "fails; use the power-series method in that region")
+    la = math.log(a)
+    # X = (a^{-b} - 1)/b - a^{1-b} Gamma(a) G(a,-b), exact as b -> 0
+    x = (-la * phi1(-b * la)).real - a ** (1.0 - b) * gamma_fn(a).real \
+        * g_resolve(a, -b).real
+    alpha0 = 1.0 + b * x
+    alpha1 = ((b - 1.0) + x * (b * b - b + 2.0 * a)) / (2.0 * (1.0 - b))
+    beta0 = a * b * x / (1.0 - b)
+    beta1 = a * (2.0 * (b - 1.0) + x * (4.0 * a - 2.0 * b + b * b)) \
+        / (2.0 * (b - 1.0) * (b - 2.0))
     return alpha0, alpha1, beta0, beta1
 
 
@@ -208,17 +198,9 @@ def eval_AB(coeffs: ABCoefficients, z, n: int | None = None):
     return asum, bsum, last
 
 
-def _bessel_arg(a: float, z):
-    az = complex(a) * complex(z)
-    if az.imag == 0.0 and az.real <= 0.0:
-        raise DomainError("az on the nonpositive real axis: use the "
-                          "power-series method there")
-    return 2.0 * cmath.sqrt(az)
-
-
-def u_bessel_convergent(a: float, b: float, z, n: int = 20,
-                        coeffs: ABCoefficients | None = None) -> EvalOutcome:
-    """U(a,b,z) from the K-Bessel representation with n coefficient pairs."""
+def _bessel_sums(a: float, b: float, z, n: int, coeffs):
+    """(a, b, z, 2 sqrt(az), A(z), B(z), last term) for both Bessel forms,
+    summing n pairs of coeffs (built here when absent or too short)."""
     if n < 1:
         raise DomainError("need n >= 1 coefficient pairs")
     a = float(a)
@@ -226,8 +208,17 @@ def u_bessel_convergent(a: float, b: float, z, n: int = 20,
     z = complex(z)
     if coeffs is None or coeffs.n < n:
         coeffs = forward_coeffs(a, b, max(n, 2))
-    w = _bessel_arg(a, z)
-    asum, bsum, last = eval_AB(coeffs, z, n)
+    az = a * z
+    if az.imag == 0.0 and az.real <= 0.0:
+        raise DomainError("az on the nonpositive real axis: use the "
+                          "power-series method there")
+    return (a, b, z, 2.0 * cmath.sqrt(az)) + eval_AB(coeffs, z, n)
+
+
+def u_bessel_convergent(a: float, b: float, z, n: int = 20,
+                        coeffs: ABCoefficients | None = None) -> EvalOutcome:
+    """U(a,b,z) from the K-Bessel representation with n coefficient pairs."""
+    a, b, z, w, asum, bsum, last = _bessel_sums(a, b, z, n, coeffs)
     kb1 = bessel_k(b - 1.0, w)
     kb = bessel_k(b, w)
     sq = cmath.sqrt(z / a)
@@ -242,15 +233,7 @@ def u_bessel_convergent(a: float, b: float, z, n: int = 20,
 def m_bessel_convergent(a: float, b: float, z, n: int = 20,
                         coeffs: ABCoefficients | None = None):
     """M(a;b;z)/Gamma(b) from the companion I-Bessel representation."""
-    if n < 1:
-        raise DomainError("need n >= 1 coefficient pairs")
-    a = float(a)
-    b = float(b)
-    z = complex(z)
-    if coeffs is None or coeffs.n < n:
-        coeffs = forward_coeffs(a, b, max(n, 2))
-    w = _bessel_arg(a, z)
-    asum, bsum, _ = eval_AB(coeffs, z, n)
+    a, b, z, w, asum, bsum, _ = _bessel_sums(a, b, z, n, coeffs)
     pref = cmath.exp((1.0 - b) / 2.0 * cmath.log(z / a)) \
         * gamma_fn(1.0 + a - b) * cmath.exp(z / 2.0) * recip_gamma(a)
     return pref * (bessel_i(b - 1.0, w) * asum

@@ -82,27 +82,33 @@ def recip_gamma(w):
     otherwise the real part is walked toward 0 one unit at a time, and a
     remaining tall imaginary part is halved with the duplication identity
     1/Gamma(w) = sqrt(pi) 2^(1-w) / (Gamma(w/2) Gamma(w/2 + 1/2)).
+    Domain error where 1/Gamma overflows the double range (Re w below
+    about -171 off the integers) and for |Re w| >= 1024.
     """
-    w = complex(w)
+    w0 = w = complex(w)
     if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
         return 0j
+    if not abs(w.real) < 1024.0:
+        raise DomainError(f"recip_gamma needs |Re w| < 1024, got {w0}")
     acc = 1.0 + 0j
-    for _ in range(1024):
-        if abs(w) <= _SERIES_RADIUS:
-            return acc * _series(w)
+    while abs(w) > _SERIES_RADIUS and not -0.5 <= w.real < 0.5:
         if w.real >= 0.5:
             # 1/Gamma(w) = (1/Gamma(w-1)) / (w-1)
             acc /= (w - 1.0)
             w = w - 1.0
-        elif w.real < -0.5:
+        else:
             # 1/Gamma(w) = w * (1/Gamma(w+1))
             acc *= w
             w = w + 1.0
-        else:
-            # |Re w| <= 1/2 but |w| > 1.25: halve the imaginary part
-            return acc * _SQRT_PI * cmath.exp((1.0 - w) * math.log(2.0)) \
-                * recip_gamma(w / 2.0) * recip_gamma(w / 2.0 + 0.5)
-    raise DomainError("recip_gamma argument reduction did not terminate")
+    if abs(w) <= _SERIES_RADIUS:
+        r = acc * _series(w)
+    else:
+        # |Re w| <= 1/2 but |w| > 1.25: halve the imaginary part
+        r = acc * _SQRT_PI * cmath.exp((1.0 - w) * math.log(2.0)) \
+            * recip_gamma(w / 2.0) * recip_gamma(w / 2.0 + 0.5)
+    if not cmath.isfinite(r):
+        raise DomainError(f"1/Gamma overflows the double range at {w0}")
+    return r
 
 
 def gamma_fn(w):
@@ -126,12 +132,12 @@ def gamma_fn(w):
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 
 
-def zeta(s: float, n_direct: int = 32) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s >= 2 by direct summation with an
     Euler-Maclaurin tail correction; accurate to ~1e-16 relative."""
     if s < 2:
         raise DomainError("zeta helper only covers s >= 2")
-    N = n_direct
+    N = 32
     total = sum(k ** (-s) for k in range(1, N))
     total += 0.5 * N ** (-s)
     total += N ** (1.0 - s) / (s - 1.0)
@@ -146,7 +152,7 @@ def zeta(s: float, n_direct: int = 32) -> float:
     return total
 
 
-def generate_ck(n: int, zeta_values=None) -> list:
+def generate_ck(n: int) -> list:
     """Regenerate c_1..c_n from the recursion
     (k-1) c_k = gamma*c_{k-1} - zeta(2)c_{k-2} + ... + (-1)^k zeta(k-1)c_1.
 
@@ -159,14 +165,12 @@ def generate_ck(n: int, zeta_values=None) -> list:
     if n > 28:
         warnings.warn("generate_ck beyond k=28 degrades in double precision",
                       RuntimeWarning, stacklevel=2)
-    if zeta_values is None:
-        zeta_values = {k: zeta(k) for k in range(2, n)}
     c = [0.0, 1.0, EULER_GAMMA]  # 1-based storage
     for k in range(3, n + 1):
         s = EULER_GAMMA * c[k - 1]
         sign = -1.0
         for j in range(2, k):
-            s += sign * zeta_values[j] * c[k - j]
+            s += sign * zeta(j) * c[k - j]
             sign = -sign
         c.append(s / (k - 1))
     return c[1:]
@@ -264,7 +268,9 @@ def g_resolve(a, b):
         G(a-1,b) = (a+b) G(a,b) + 1/Gamma(a+1),
 
     run down for m < 0, or solved for G(a+1,b) and run up for m > 0, where
-    the swap keeps every divisor |a0+b+1| >= 1/2.
+    the swap keeps every divisor |a0+b+1| >= 1/2.  The 1/Gamma values it
+    needs come from one recip_gamma call, carried by the pole-safe product
+    1/Gamma(w-1) = (w-1)/Gamma(w).
     """
     a = complex(a)
     b = complex(b)
@@ -282,10 +288,18 @@ def g_resolve(a, b):
         n = 64 if rho < 0.45 else int(40.0 / -math.log(rho)) + 32
         n = min(4096, max(64, n))
         g = g_quadrature(a0, b, QuadratureSpec(radius=rad, nodes=n))
-    for _ in range(-m):
-        g = (a0 + b) * g + recip_gamma(a0 + 1.0)
-        a0 -= 1.0
-    for _ in range(m):
-        g = (g - recip_gamma(a0 + 2.0)) / (a0 + b + 1.0)
-        a0 += 1.0
+    if m < 0:
+        r = recip_gamma(a0 + 1.0)
+        for _ in range(-m):
+            g = (a0 + b) * g + r
+            r *= a0
+            a0 -= 1.0
+    elif m > 0:
+        # 1/Gamma(a0+k) for k = m+1 down to 2, read back in rising order
+        rs = [recip_gamma(a0 + m + 1.0)]
+        for k in range(m, 1, -1):
+            rs.append(rs[-1] * (a0 + k))
+        for r in reversed(rs):
+            g = (g - r) / (a0 + b + 1.0)
+            a0 += 1.0
     return g

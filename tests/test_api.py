@@ -65,6 +65,14 @@ class TestKummerU:
                 kummer_u(a, b, z, method=method)
         assert kummer_u(5 + 0j, 0.4 + 0j, 0.5).u == kummer_u(5.0, 0.4, 0.5).u
 
+    def test_small_b_convergent_point(self):
+        mpmath = pytest.importorskip("mpmath")
+        out = kummer_u(5.0, 0.05, 1.0)
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(5.0, 0.05, 1.0))
+        assert out.method == "convergent"
+        assert abs(out.u - ref) <= 5e-12 * abs(ref)
+
     @pytest.mark.parametrize("a,b", [(-2.4, 0.3), (2.45, -0.3)])
     def test_former_g_resolve_holes(self, a, b):
         mpmath = pytest.importorskip("mpmath")

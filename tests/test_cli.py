@@ -30,6 +30,13 @@ class TestSelectMethod:
         args = (1.5, 0.3, complex(0.7))
         assert select_method(*args) == select_method(*args)
 
+    def test_convergent_needs_z_within_4(self):
+        assert select_method(0.5, 0.4, complex(4.0)) == "convergent"
+        with pytest.raises(DomainError, match="no method"):
+            select_method(0.5, 0.4, complex(4.5))
+        with pytest.raises(DomainError, match="no method"):
+            select_method(0.065, 0.69, complex(136.8, -20.8))
+
     def test_uncovered_point(self):
         with pytest.raises(DomainError):
             select_method(-5.0, 3.0, complex(4.0))
@@ -156,6 +163,17 @@ class TestGrid:
         rows = read_grid_csv(str(out))
         assert rows
         assert all(r.terms_used <= 10 for r in rows)
+
+    def test_power_reference_only_where_selected(self, tmp_path):
+        # z > 1.5 at a <= 2.5 is off the power route: the M proxy serves
+        out = tmp_path / "grid.csv"
+        rc = main(["grid", "--b", "0.4", "--a-min", "0.5", "--a-max", "2.5",
+                   "--a-steps", "3", "--z-min", "0.1", "--z-max", "3",
+                   "--z-steps", "3", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = read_grid_csv(str(out))
+        assert len(rows) == 9
+        assert all(r.rel_err <= 1e-12 for r in rows)
 
     @pytest.mark.parametrize("mode", ["fixed_terms", "terms_needed"])
     def test_one_reference_per_cell(self, monkeypatch, mode):

@@ -1,8 +1,10 @@
+import cmath
 import math
 import random
 
 import pytest
 
+from kummeru import select_method
 from kummeru.convergent import (ABCoefficients, backward_probe, eval_AB,
                                 five_term_coeffs, forward_coeffs,
                                 init_alpha_beta, m_bessel_convergent,
@@ -42,12 +44,24 @@ class TestInitValues:
         slope = 1.5 - 0.57721566490153286061 - math.log(2.0)
         assert abs(a0 - 1.0 - b * slope) <= b * b
 
-    def test_stable_and_plain_routes_agree(self):
-        # a = 2.5 uses the G-based route, a = 2.5 + tiny the plain one
-        lo = init_alpha_beta(2.5, 0.4)
-        hi = init_alpha_beta(2.5 + 1e-9, 0.4)
-        for x, y in zip(lo, hi):
-            assert abs(x - y) <= 1e-6 * max(1.0, abs(x))
+    @pytest.mark.parametrize("a,b,z,tol", [(8.0, 0.01, 0.3, 1e-13),
+                                           (20.0, 0.002, 0.1, 2e-12)])
+    def test_small_b_against_mpmath(self, a, b, z, tol):
+        # alpha_0 - 1 = O(b) at every a: it must come from G, not from a
+        # subtraction of two O(1) numbers
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = complex(mp.hyperu(a, b, z))
+        assert abs(u_bessel_convergent(a, b, z).u - ref) <= tol * abs(ref)
+
+    def test_alpha1_small_b_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a, b = mp.mpf(3), mp.mpf(0.002)
+            alpha0 = a ** (1 - b) * mp.gamma(a) / mp.gamma(a + 1 - b)
+            ref = float((alpha0 * (b * b - b + 2 * a) - 2 * a)
+                        / (2 * b * (1 - b)))
+        assert abs(init_alpha_beta(3.0, 0.002)[1] - ref) <= 1e-13 * abs(ref)
 
     def test_excluded_b_neighborhoods(self):
         for b in (0.0, 1.0, 2.0, 5e-4, 1.0004, 1.9996):
@@ -263,3 +277,33 @@ class TestBackwardProbe:
             backward_probe(2.0, 0.5, 100, [])
         with pytest.raises(DomainError):
             backward_probe(2.0, 0.5, 100, [(1.0, 2.0, 3.0)])
+
+
+def test_u_over_the_convergent_domain_against_mpmath():
+    """Seeded sweep of the points select_method sends to the convergent
+    route.  The bound is the initial values' rounding loss,
+    64 e^{4 sqrt|az|} eps / |b(1-b)(2-b)|, plus 64 times the truncation of
+    the 20 pairs, (|z|/2)^20/20!, which is the larger one where az is small
+    and |z| near 4."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    pts = []
+    while len(pts) < 200:
+        a = math.exp(rng.uniform(math.log(0.05), math.log(160.0)))
+        b = rng.uniform(0.05, 0.95)
+        z = cmath.rect(rng.uniform(0.0, 10.0 / a),
+                       rng.uniform(-math.pi, math.pi))
+        try:
+            if select_method(a, b, z) == "convergent":
+                pts.append((a, b, z))
+        except DomainError:
+            pass
+    eps = 2.0 ** -52
+    with mp.workdps(40):
+        for a, b, z in pts:
+            ref = complex(mp.hyperu(a, b, z))
+            err = abs(u_bessel_convergent(a, b, z).u - ref) / abs(ref)
+            bound = 64.0 * (math.exp(4.0 * math.sqrt(abs(a * z))) * eps
+                            / abs(b * (1.0 - b) * (2.0 - b))
+                            + (abs(z) / 2.0) ** 20 / math.factorial(20))
+            assert err <= bound, (a, b, z, err, bound)

@@ -40,6 +40,23 @@ class TestRecipGamma:
                 * recip_gamma(w) * recip_gamma(w + 0.5)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("w", [-171.2, -171.5, -180.3])
+    def test_overflow_is_domain_error(self, w):
+        with pytest.raises(DomainError, match="1/Gamma overflows the double"):
+            recip_gamma(w)
+        with pytest.raises(DomainError, match="1/Gamma overflows the double"):
+            gamma_fn(w)
+
+    def test_largest_magnitude_below_overflow(self):
+        mp = pytest.importorskip("mpmath")
+        ref = float(mp.rgamma(-170.5))
+        assert abs(recip_gamma(-170.5).real - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("w", [float("nan"), 2000.0, -2000.5])
+    def test_argument_too_large(self, w):
+        with pytest.raises(DomainError, match="1024"):
+            recip_gamma(w)
+
 
 class TestGammaFn:
     def test_gamma_two(self):
@@ -227,6 +244,30 @@ class TestGResolve:
         assert len(calls) == 1
         direct = (recip_gamma(a + 1 + b) - recip_gamma(a + 1)) / b
         assert abs(got - direct) <= 1e-12
+
+    @pytest.mark.parametrize("a,b,expect", [
+        (1.0, 1.0, -0.5), (2.0, -1.0, -0.5), (-2.0, 1.0, 0.0),
+        (1.0, 4.0, (1.0 / 120.0 - 1.0) / 4.0), (-3.0, 4.0, 0.25)])
+    def test_carry_through_gamma_poles(self, a, b, expect):
+        # the carried 1/Gamma values pass through exact zeros at the poles
+        assert abs(g_resolve(a, b) - expect) <= 1e-14
+
+    @pytest.mark.parametrize("a,b", [(50.0, -0.3), (160.0, -0.95),
+                                     (-2.4, 0.3), (2.45, -0.3), (7.5, 0.6)])
+    def test_one_recip_gamma_call(self, monkeypatch, a, b):
+        mp = pytest.importorskip("mpmath")
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return recip_gamma(w)
+
+        monkeypatch.setattr(gammakit, "recip_gamma", counted)
+        got = g_resolve(a, b)
+        assert len(calls) == 1
+        with mp.workdps(40):
+            ref = _g_mpmath(mp, a, b)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def _g_mpmath(mp, a, b):
