@@ -46,11 +46,13 @@ __all__ = [
 
 
 def _in_convergent_domain(a: float, b: float, z: complex) -> bool:
-    """Advertised validity region of the convergent method (z nonzero).
+    """Advertised validity region of the convergent method.
 
     |z| <= 4 (implied by |az| <= 10 once a >= 2.5) keeps the truncation of
-    the default 20 coefficient pairs, about (|z|/2)^20/20!, below 1e-12."""
-    return a > 0 and 0.05 <= b <= 0.95 and abs(z * a) <= 10.0 and abs(z) <= 4.0
+    the default 20 coefficient pairs, about (|z|/2)^20/20!, below 1e-12.
+    az on the nonpositive real axis is the K-Bessel branch cut."""
+    return (a > 0 and 0.05 <= b <= 0.95 and abs(z * a) <= 10.0
+            and abs(z) <= 4.0 and not (z.imag == 0.0 and z.real <= 0.0))
 
 
 def _real_ab(a, b):

@@ -176,7 +176,7 @@ def grid_rows(spec: GridSpec, mode: str):
     for a in spec.a_values():
         coeffs = None
         for z in spec.z_values():
-            if not (z > 0 and _in_convergent_domain(a, b, z)):
+            if not _in_convergent_domain(a, b, z):
                 continue
             u_ref = select_method(a, b, z) == "power"
             if coeffs is None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .numcore import DomainError, EvalOutcome, phi1
@@ -217,7 +218,10 @@ def _bessel_sums(a: float, b: float, z, n: int, coeffs):
 
 def u_bessel_convergent(a: float, b: float, z, n: int = 20,
                         coeffs: ABCoefficients | None = None) -> EvalOutcome:
-    """U(a,b,z) from the K-Bessel representation with n coefficient pairs."""
+    """U(a,b,z) from the K-Bessel representation with n coefficient pairs.
+
+    Domain error where U underflows the double range (|U| below the
+    smallest normal double)."""
     a, b, z, w, asum, bsum, last = _bessel_sums(a, b, z, n, coeffs)
     kb1 = bessel_k(b - 1.0, w)
     kb = bessel_k(b, w)
@@ -225,6 +229,8 @@ def u_bessel_convergent(a: float, b: float, z, n: int = 20,
     pref = 2.0 * cmath.exp((1.0 - b) / 2.0 * cmath.log(z / a)) \
         * cmath.exp(z / 2.0) * recip_gamma(a)
     val = pref * (kb1 * asum + sq * kb * bsum)
+    if abs(val) < sys.float_info.min:
+        raise DomainError("U underflows the double range")
     est = abs(pref) * (abs(kb1) + abs(sq * kb)) * last
     return EvalOutcome(u=val, u_prime=None, terms_used=n,
                        est_abs_error=est, method="convergent")

@@ -15,9 +15,12 @@ where the coefficient polynomials are generated by A_0 = 1 and
   A_{k+1}(z) = (b-1/2) B_k(z)/z - B_k'(z)/2 + Int^z t^2 B_k(t)/2 dt + K_k,
 
 with the integration constant of the indefinite integral fixed to 0 and K_k
-chosen so that A_{k+1}(0) = 0.  The generation is exact polynomial
-arithmetic for a fixed numeric b; both evaluators truncate after K
-coefficient pairs, so the error scales as u^{-2K}.
+chosen so that A_{k+1}(0) = 0.  Every step is linear in h = b - 1/2, so
+A_k and B_k are polynomials in (h, z), of degree at most 2k and 2k + 1 in
+h.  They are generated once, in floating point, into a table shared by
+every b, and each call evaluates the entries it needs at its own h.  Both
+evaluators truncate after K coefficient pairs, so the error scales as
+u^{-2K}.
 
 Real a, b, z only: the expansion is used in its oscillation-free regime.
 """
@@ -25,9 +28,10 @@ Real a, b, z only: the expansion is used in its oscillation-free regime.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .numcore import DomainError, RealPolynomial
+from .numcore import DomainError, RealPolynomial, StructuralError
 from .gammakit import gamma_fn
 from .besselkit import bessel_i, bessel_k
 
@@ -61,65 +65,182 @@ class SlaterEval:
         return math.sqrt(4.0 * self.a - 2.0 * self.b)
 
 
+# ---------------------------------------------------------------------------
+# the coefficient table: polynomials in (h, z), h = b - 1/2
+# ---------------------------------------------------------------------------
+#
+# A polynomial is a list of rows, row i multiplying z**i; a row lists the
+# coefficients of a polynomial in h, ascending ([] is the zero row).
+
+def _add(p, q):
+    out = [list(r) for r in p] + [[] for _ in range(len(q) - len(p))]
+    for i, row in enumerate(q):
+        r = out[i]
+        r.extend([0.0] * (len(row) - len(r)))
+        for j, c in enumerate(row):
+            r[j] += c
+    return out
+
+
+def _scaled(p, s):
+    return [[s * c for c in row] for row in p]
+
+
+def _times_h(p):
+    return [[0.0] + row if row else [] for row in p]
+
+
+def _times_z2(p):
+    return [[], []] + p
+
+
+def _dz(p):
+    return [[i * c for c in p[i]] for i in range(1, len(p))] or [[]]
+
+
+def _over_z(p):
+    """p/z; the z**0 row must vanish."""
+    if any(p[0]):
+        raise StructuralError("division by z with a nonzero constant term")
+    return p[1:] or [[]]
+
+
+def _integral(p):
+    """Int_0^z p(t) dt."""
+    return [[]] + [[c / (i + 1) for c in row] for i, row in enumerate(p)]
+
+
+def _horner_order(p):
+    """p, trimmed, with the rows and the coefficients within each row in
+    descending order."""
+    rows = [list(r) for r in p]
+    for r in rows:
+        while r and r[-1] == 0.0:
+            r.pop()
+    while len(rows) > 1 and not rows[-1]:
+        rows.pop()
+    return tuple(tuple(reversed(r)) for r in reversed(rows))
+
+
+def _next_pair(ak):
+    """(B_k, A_{k+1}) from A_k (in Horner order) by the recurrence in the
+    module docstring."""
+    ak = [list(reversed(r)) for r in reversed(ak)]
+    akp = _dz(ak)
+    integrand = _add(_scaled(_times_z2(ak), 0.5),
+                     _scaled(_times_h(_over_z(akp)), -1.0))
+    bk = _add(_scaled(akp, -0.5), _integral(integrand))
+    anext = _add(_add(_times_h(_over_z(bk)), _scaled(_dz(bk), -0.5)),
+                 _integral(_scaled(_times_z2(bk), 0.5)))
+    anext[0] = []  # K_k cancels the constant term
+    return _horner_order(bk), _horner_order(anext)
+
+
+# (A_0..A_K, B_0..B_{K-1}); replaced, never mutated, so a reader's snapshot
+# stays whole while another call grows the table.
+_TABLE = ((((1.0,),),), ())
+
+
+def coeff_table(K: int):
+    """(A_0..A_K, B_0..B_{K-1}) as polynomials in (h, z), h = b - 1/2.
+
+    Each polynomial is stored in Horner order: a tuple of rows for the
+    powers of z from the highest down to z**0, each row holding the
+    coefficients of a polynomial in h from the highest power down.  The
+    table is built once, up to the largest K asked for, and shared by
+    every b."""
+    global _TABLE
+    A, B = _TABLE
+    if len(B) < K:
+        A, B = list(A), list(B)
+        while len(B) < K:
+            bk, anext = _next_pair(A[-1])
+            B.append(bk)
+            A.append(anext)
+        A, B = tuple(A), tuple(B)
+        _TABLE = (A, B)
+    return A, B
+
+
+def _at(poly, h, z):
+    """A table polynomial at (h, z): a Horner sum in h for each power of z,
+    then one in z."""
+    s = 0.0
+    for row in poly:
+        t = 0.0
+        for c in row:
+            t = t * h + c
+        s = s * z + t
+    return s
+
+
 def slater_coeffs(b: float, K: int) -> SlaterCoeffSet:
-    """Generate A_0..A_K and B_0..B_{K-1} for the given b."""
+    """A_0..A_K and B_0..B_{K-1} for the given b, read from the table."""
     if K < 1:
         raise DomainError("need K >= 1")
     b = float(b)
-    half = b - 0.5
-    A = [RealPolynomial.of([1.0])]
-    B = []
-    for k in range(K):
-        ak = A[k]
-        akp = ak.derivative()
-        integrand = ak.shift_up(2).scaled(0.5) + akp.divide_by_var().scaled(-half)
-        bk = akp.scaled(-0.5) + integrand.antiderivative()
-        B.append(bk)
-        bkp = bk.derivative()
-        anext = (bk.divide_by_var().scaled(half)
-                 + bkp.scaled(-0.5)
-                 + bk.shift_up(2).scaled(0.5).antiderivative())
-        coeffs = list(anext.coeffs)
-        coeffs[0] = 0.0  # K_k cancels the constant term
-        A.append(RealPolynomial.of(coeffs))
-    return SlaterCoeffSet(b=b, K=K, A=tuple(A), B=tuple(B))
+    h = b - 0.5
+    A, B = coeff_table(K)
+
+    def of(poly):
+        # each row is a polynomial in h alone: a one-row poly at z = 0
+        return RealPolynomial.of([_at((row,), h, 0.0) for row in reversed(poly)])
+
+    return SlaterCoeffSet(b=b, K=K, A=tuple(of(p) for p in A[:K + 1]),
+                          B=tuple(of(p) for p in B[:K]))
 
 
-def _sums(cs: SlaterCoeffSet, z: float, u: float, K: int):
-    u2 = u * u
+def _pair_sums(A, B, h, z, u2, K):
+    """sum_{k<K} A_k(z)/u^{2k}, the same sum of B_k, and u^{2K}."""
     sa = 0.0
     sb = 0.0
     p = 1.0
     for k in range(K):
-        sa += cs.A[k](z) / p
-        sb += cs.B[k](z) / p
+        sa += _at(A[k], h, z) / p
+        sb += _at(B[k], h, z) / p
         p *= u2
-    # magnitude of the first omitted coefficient pair, for error reporting
-    tail = (abs(cs.A[K](z)) if K < len(cs.A) else 0.0) / p
-    if K < len(cs.B):
-        tail += abs(cs.B[K](z)) / (p * u)
-    return sa, sb, tail
+    return sa, sb, p
+
+
+def _real_gamma(w: float) -> float:
+    """Gamma(w) for real w, with gamma_fn's domain errors."""
+    try:
+        g = math.gamma(w)
+    except ValueError:
+        raise DomainError(f"gamma pole at {w}") from None
+    except OverflowError:
+        raise DomainError(f"Gamma overflows the double range at {complex(w)}") from None
+    if abs(g) * sys.float_info.max < 1.0:
+        raise DomainError(f"1/Gamma overflows the double range at {complex(w)}")
+    return g
 
 
 def slater_u(a: float, b: float, zsq: float, K: int = 4):
     """U(a,b,zsq) from the K-Bessel expansion truncated at K pairs.
 
-    Returns (value, est_abs_error)."""
+    Returns (value, est_abs_error); est is the first omitted pair's term.
+    Domain error where U underflows the double range (|U| below the
+    smallest normal double)."""
     if K < 1:
         raise DomainError("need K >= 1 coefficient pairs")
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
+    h = pt.b - 0.5
     # one extra pair so the first omitted pair is available for the estimate
-    coeffs = slater_coeffs(pt.b, K + 1)
-    sa, sb, tail = _sums(coeffs, z, u, K)
-    pref = 2.0 ** b * u ** (1.0 - b) / gamma_fn(1.0 + a - b).real
+    A, B = coeff_table(K + 1)
+    sa, sb, p = _pair_sums(A, B, h, z, u * u, K)
+    tail = abs(_at(A[K], h, z)) / p + abs(_at(B[K], h, z)) / (p * u)
+    pref = 2.0 ** b * u ** (1.0 - b) / _real_gamma(1.0 + a - b)
     kb1 = bessel_k(b - 1.0, u * z).real
     kb = bessel_k(b, u * z).real
     scaled = pref * (z * kb1 * sa - (z / u) * kb * sb)
     unscale = math.exp(zsq / 2.0) * zsq ** (-b / 2.0)
+    value = scaled * unscale
+    if abs(value) < sys.float_info.min:
+        raise DomainError("U underflows the double range")
     est = abs(pref) * (z * abs(kb1) + (z / u) * abs(kb)) * tail * unscale
-    return scaled * unscale, est
+    return value, est
 
 
 def slater_m(a: float, b: float, zsq: float, K: int = 4):
@@ -127,7 +248,10 @@ def slater_m(a: float, b: float, zsq: float, K: int = 4):
     pt = SlaterEval(a=float(a), b=float(b), z_arg=math.sqrt(float(zsq)))
     z = pt.z_arg
     u = pt.u
-    sa, sb, _ = _sums(slater_coeffs(pt.b, K), z, u, K)
+    if K < 1:
+        raise DomainError("need K >= 1")
+    A, B = coeff_table(K)
+    sa, sb, _ = _pair_sums(A, B, pt.b - 0.5, z, u * u, K)
     pref = gamma_fn(b).real * u ** (1.0 - b) * 2.0 ** (b - 1.0)
     ib1 = bessel_i(b - 1.0, u * z).real
     ib = bessel_i(b, u * z).real

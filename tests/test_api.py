@@ -46,6 +46,11 @@ class TestKummerU:
         with pytest.raises(DomainError, match="nonzero"):
             kummer_u(0.2, 0.3, 0)
 
+    def test_negative_real_axis_off_power_route(self):
+        # was "use the power-series method there", which does not cover a = 5
+        with pytest.raises(DomainError, match="no method covers"):
+            kummer_u(5.0, 0.4, -0.5)
+
     def test_series_budget_from_environment(self):
         assert "truncated" in kummer_u(0.2, 0.3, 1 + 1j, terms=3).flags
         assert "truncated" not in kummer_u(0.2, 0.3, 1 + 1j).flags

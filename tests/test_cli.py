@@ -37,6 +37,15 @@ class TestSelectMethod:
         with pytest.raises(DomainError, match="no method"):
             select_method(0.065, 0.69, complex(136.8, -20.8))
 
+    def test_negative_real_axis_not_convergent(self):
+        # the convergent route cannot take az on its branch cut, and the
+        # power route stops at |a| = 2.5
+        assert select_method(2.0, 0.4, complex(-0.5)) == "power"
+        for z in (complex(-0.5), complex(-0.5, -0.0)):
+            with pytest.raises(DomainError, match="no method covers"):
+                select_method(5.0, 0.4, z)
+        assert select_method(5.0, 0.4, complex(-0.5, 0.1)) == "convergent"
+
     def test_uncovered_point(self):
         with pytest.raises(DomainError):
             select_method(-5.0, 3.0, complex(4.0))

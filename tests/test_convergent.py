@@ -237,6 +237,11 @@ class TestBesselRepresentations:
         with pytest.raises(DomainError):
             u_bessel_convergent(2.0, 0.4, -0.5, n=20)
 
+    def test_underflow_raises(self):
+        # U(171, 0.4, 0.05) is about 3.7e-311, below the normal doubles
+        with pytest.raises(DomainError, match="U underflows the double range"):
+            u_bessel_convergent(171.0, 0.4, 0.05)
+
 
 class TestBackwardProbe:
     def test_seed_independence_and_mismatch(self):

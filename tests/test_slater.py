@@ -1,11 +1,14 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from kummeru.convergent import u_bessel_convergent
 from kummeru.numcore import DomainError, RealPolynomial
 from kummeru.powerseries import kummer_m_direct
-from kummeru.slater import (SlaterEval, slater_coeffs, slater_m, slater_u)
+from kummeru.slater import (SlaterEval, coeff_table, slater_coeffs, slater_m,
+                            slater_u)
 
 
 def closed_forms(b):
@@ -26,6 +29,83 @@ def closed_forms(b):
                                      0, 0, 0, -7 / 12960,
                                      0, 0, 0, 1 / 933120]),
     }
+
+
+def exact_table(K):
+    """A_0..A_K and B_0..B_{K-1} in exact rational arithmetic, each as a map
+    {(i, j): c} for the monomial c z**i h**j, h = b - 1/2."""
+    def dz(p):
+        return {(i - 1, j): i * c for (i, j), c in p.items() if i > 0}
+
+    def over_z(p):
+        assert all(i > 0 for i, _ in p)
+        return {(i - 1, j): c for (i, j), c in p.items()}
+
+    def times_h(p, s):
+        return {(i, j + 1): s * c for (i, j), c in p.items()}
+
+    def times_z2(p, s):
+        return {(i + 2, j): s * c for (i, j), c in p.items()}
+
+    def integral(p):
+        return {(i + 1, j): c / (i + 1) for (i, j), c in p.items()}
+
+    def scaled(p, s):
+        return {key: s * c for key, c in p.items()}
+
+    def add(*ps):
+        out = {}
+        for p in ps:
+            for key, c in p.items():
+                out[key] = out.get(key, 0) + c
+        return {key: c for key, c in out.items() if c != 0}
+
+    half = Fraction(1, 2)
+    A = [{(0, 0): Fraction(1)}]
+    B = []
+    for _ in range(K):
+        ak = A[-1]
+        akp = dz(ak)
+        bk = add(scaled(akp, -half),
+                 integral(add(times_z2(ak, half), times_h(over_z(akp), -1))))
+        anext = add(times_h(over_z(bk), 1), scaled(dz(bk), -half),
+                    integral(times_z2(bk, half)))
+        B.append(bk)
+        # the constant K_k makes A_{k+1}(0) = 0
+        A.append({(i, j): c for (i, j), c in anext.items() if i > 0})
+    return A, B
+
+
+def as_monomials(poly):
+    """A coeff_table polynomial (Horner order) as {(i, j): c}."""
+    deg = len(poly) - 1
+    return {(deg - r, len(row) - 1 - q): c
+            for r, row in enumerate(poly) for q, c in enumerate(row)}
+
+
+class TestCoefficientTable:
+    def test_against_exact_generation(self):
+        K = 8
+        A, B = coeff_table(K)
+        eA, eB = exact_table(K)
+        worst = 0.0
+        for got, expect in list(zip(A[:K + 1], eA)) + list(zip(B[:K], eB)):
+            got = as_monomials(got)
+            for key in set(got) | set(expect):
+                ec = expect.get(key, 0)
+                gc = got.get(key, 0.0)
+                if ec == 0:
+                    assert gc == 0.0, key  # structural zeros stay exact
+                else:
+                    err = abs(gc - ec) / abs(ec)
+                    worst = max(worst, float(err))
+        assert worst <= 1e-12
+
+    def test_shared_across_b(self):
+        # one table serves every b; asking for less returns the same entries
+        A, B = coeff_table(6)
+        A3, B3 = coeff_table(3)
+        assert A3[:4] == A[:4] and B3[:3] == B[:3]
 
 
 class TestCoefficientGeneration:
@@ -127,3 +207,34 @@ class TestSlaterU:
         # Gamma(1 + a - b) = Gamma(172.7) overflows; the value was (0.0, 0.0)
         with pytest.raises(DomainError, match="overflows the double range"):
             slater_u(172.0, 0.3, 0.4)
+
+    def test_gamma_pole_raises(self):
+        # Gamma(1 + a - b) = Gamma(-1)
+        with pytest.raises(DomainError, match="gamma pole"):
+            slater_u(4.0, 6.0, 0.5)
+
+    def test_gamma_below_the_double_range_raises(self):
+        # Gamma(1 + a - b) = Gamma(-179.5) is 0.0 in double precision
+        with pytest.raises(DomainError, match="1/Gamma overflows"):
+            slater_u(200.0, 380.5, 0.5)
+
+    def test_underflow_raises(self):
+        # U(170, 0.3, 0.4) is about 1.5e-313, below the normal doubles
+        with pytest.raises(DomainError, match="U underflows the double range"):
+            slater_u(170.0, 0.3, 0.4)
+
+
+def test_u_over_the_timed_slater_domain_against_mpmath():
+    """Seeded sweep of a in [30, 140], b in [-1, 2], zsq in [10/a, 1], with
+    the relative bound 64 u^{-8} of the default K = 4 pairs."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(6)
+    with mp.workdps(30):
+        for _ in range(200):
+            a = rng.uniform(30.0, 140.0)
+            b = rng.uniform(-1.0, 2.0)
+            zsq = rng.uniform(10.0 / a, 1.0)
+            ref = float(mp.hyperu(a, b, zsq))
+            val, _ = slater_u(a, b, zsq)
+            bound = 64.0 * (4.0 * a - 2.0 * b) ** -4
+            assert abs(val - ref) <= bound * abs(ref), (a, b, zsq)
