@@ -68,77 +68,56 @@ class SlaterEval:
 # ---------------------------------------------------------------------------
 # the coefficient table: polynomials in (h, z), h = b - 1/2
 # ---------------------------------------------------------------------------
-#
-# A polynomial is a list of rows, row i multiplying z**i; a row lists the
-# coefficients of a polynomial in h, ascending ([] is the zero row).
 
-def _add(p, q):
-    out = [list(r) for r in p] + [[] for _ in range(len(q) - len(p))]
-    for i, row in enumerate(q):
-        r = out[i]
-        r.extend([0.0] * (len(row) - len(r)))
-        for j, c in enumerate(row):
-            r[j] += c
+def _collect(*terms):
+    """Sum streams of monomials ((i, j), c), for c z**i h**j, into one map."""
+    out = {}
+    for term in terms:
+        for key, c in term:
+            out[key] = out.get(key, 0.0) + c
     return out
 
 
-def _scaled(p, s):
-    return [[s * c for c in row] for row in p]
-
-
-def _times_h(p):
-    return [[0.0] + row if row else [] for row in p]
-
-
-def _times_z2(p):
-    return [[], []] + p
-
-
-def _dz(p):
-    return [[i * c for c in p[i]] for i in range(1, len(p))] or [[]]
-
-
-def _over_z(p):
-    """p/z; the z**0 row must vanish."""
-    if any(p[0]):
-        raise StructuralError("division by z with a nonzero constant term")
-    return p[1:] or [[]]
-
-
-def _integral(p):
-    """Int_0^z p(t) dt."""
-    return [[]] + [[c / (i + 1) for c in row] for i, row in enumerate(p)]
-
-
-def _horner_order(p):
-    """p, trimmed, with the rows and the coefficients within each row in
-    descending order."""
-    rows = [list(r) for r in p]
-    for r in rows:
-        while r and r[-1] == 0.0:
-            r.pop()
-    while len(rows) > 1 and not rows[-1]:
-        rows.pop()
-    return tuple(tuple(reversed(r)) for r in reversed(rows))
+def _shared_terms(p):
+    """The monomials of -p'(z)/2 + Int_0^z t^2 p(t)/2 dt, common to both
+    steps of the recurrence."""
+    for (i, j), c in p.items():
+        if i > 0:
+            yield (i - 1, j), -0.5 * i * c
+        yield (i + 3, j), 0.5 * c / (i + 3)
 
 
 def _next_pair(ak):
-    """(B_k, A_{k+1}) from A_k (in Horner order) by the recurrence in the
-    module docstring."""
-    ak = [list(reversed(r)) for r in reversed(ak)]
-    akp = _dz(ak)
-    integrand = _add(_scaled(_times_z2(ak), 0.5),
-                     _scaled(_times_h(_over_z(akp)), -1.0))
-    bk = _add(_scaled(akp, -0.5), _integral(integrand))
-    anext = _add(_add(_times_h(_over_z(bk)), _scaled(_dz(bk), -0.5)),
-                 _integral(_scaled(_times_z2(bk), 0.5)))
-    anext[0] = []  # K_k cancels the constant term
-    return _horner_order(bk), _horner_order(anext)
+    """(B_k, A_{k+1}) from A_k by the recurrence in the module docstring,
+    on monomial maps {(i, j): c} for c z**i h**j."""
+    if any(c for (i, _), c in ak.items() if i == 1):
+        raise StructuralError("A_k'(z)/z with a nonzero constant term")
+    # - Int_0^z h A_k'(t)/t dt
+    bk = _collect(_shared_terms(ak), (((i - 1, j + 1), -i * c / (i - 1))
+                                      for (i, j), c in ak.items() if i > 1))
+    if any(c for (i, _), c in bk.items() if i == 0):
+        raise StructuralError("B_k(z)/z with a nonzero constant term")
+    # + h B_k(z)/z
+    anext = _collect(_shared_terms(bk), (((i - 1, j + 1), c)
+                                         for (i, j), c in bk.items() if i > 0))
+    # K_k cancels the constant term
+    return bk, {(i, j): c for (i, j), c in anext.items() if i > 0}
 
 
-# (A_0..A_K, B_0..B_{K-1}); replaced, never mutated, so a reader's snapshot
-# stays whole while another call grows the table.
-_TABLE = ((((1.0,),),), ())
+def _horner_order(p):
+    """A monomial map as rows for z**deg down to z**0, each row holding the
+    coefficients of a polynomial in h from the highest power down."""
+    p = {key: c for key, c in p.items() if c != 0.0}
+    rows = []
+    for i in range(max(i for i, _ in p), -1, -1):
+        deg_h = max((j for k, j in p if k == i), default=-1)
+        rows.append(tuple(p.get((i, j), 0.0) for j in range(deg_h, -1, -1)))
+    return tuple(rows)
+
+
+# (A_0..A_K, B_0..B_{K-1}, A_K as a monomial map); replaced, never mutated,
+# so a reader's snapshot stays whole while another call grows the table.
+_TABLE = ((((1.0,),),), (), {(0, 0): 1.0})
 
 
 def coeff_table(K: int):
@@ -150,15 +129,15 @@ def coeff_table(K: int):
     table is built once, up to the largest K asked for, and shared by
     every b."""
     global _TABLE
-    A, B = _TABLE
+    A, B, ak = _TABLE
     if len(B) < K:
         A, B = list(A), list(B)
         while len(B) < K:
-            bk, anext = _next_pair(A[-1])
-            B.append(bk)
-            A.append(anext)
+            bk, ak = _next_pair(ak)
+            B.append(_horner_order(bk))
+            A.append(_horner_order(ak))
         A, B = tuple(A), tuple(B)
-        _TABLE = (A, B)
+        _TABLE = (A, B, ak)
     return A, B
 
 
