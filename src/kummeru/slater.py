@@ -108,11 +108,11 @@ def _horner_order(p):
     """A monomial map as rows for z**deg down to z**0, each row holding the
     coefficients of a polynomial in h from the highest power down."""
     p = {key: c for key, c in p.items() if c != 0.0}
-    rows = []
-    for i in range(max(i for i, _ in p), -1, -1):
-        deg_h = max((j for k, j in p if k == i), default=-1)
-        rows.append(tuple(p.get((i, j), 0.0) for j in range(deg_h, -1, -1)))
-    return tuple(rows)
+    rows = [[] for _ in range(1 + max(i for i, _ in p))]
+    for (i, j), c in p.items():
+        rows[i].extend([0.0] * (j + 1 - len(rows[i])))
+        rows[i][j] = c
+    return tuple(tuple(reversed(r)) for r in reversed(rows))
 
 
 # (A_0..A_K, B_0..B_{K-1}, A_K as a monomial map); replaced, never mutated,
